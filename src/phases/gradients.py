@@ -12,17 +12,47 @@ that the chain rule cancels).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .graphon import SubgraphPattern, _star_arity, pattern_subscripts, _LETTERS
+from .graphon import SubgraphPattern, _star_arity, _LETTERS
 
 _LOG_CLIP = 1e-12
+_BATCH = "z"
+
+
+_identity = lru_cache(maxsize=None)(np.eye)
 
 
 def _symmetrize_grad(g_full: np.ndarray) -> np.ndarray:
-    out = g_full + g_full.T
-    np.fill_diagonal(out, np.diag(g_full))
-    return out
+    # g + g^T with the diagonal counted once (2g - g = g exactly)
+    return g_full + np.swapaxes(g_full, -1, -2) - g_full * _identity(g_full.shape[-1])
+
+
+# Batched products: one matmul over the batch runs per row the BLAS kernel of
+# the same product of one row's 1-D and 2-D arrays, so a row's result is bit
+# for bit the unbatched one, whatever batch it is in.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b per row: (B, n) x (B, n) -> (B,)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _vm(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c p per row: (B, m) x (B, m, m) -> (B, m)."""
+    return (c[..., None, :] @ p)[..., 0, :]
+
+
+def _mv(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """p c per row: (B, m, m) x (B, m) -> (B, m)."""
+    return (p @ c[..., :, None])[..., 0]
+
+
+def _as_batch(c, p):
+    """(c, p) with a leading batch axis, and whether it had to be added."""
+    return (c[None], p[None], True) if c.ndim == 1 else (c, p, False)
 
 
 def _classify(pattern: SubgraphPattern):
@@ -44,36 +74,36 @@ def _classify(pattern: SubgraphPattern):
 
 
 class DensityEvaluator:
-    """Value and analytic gradient of one pattern density on step graphons."""
+    """Value and analytic gradient of one pattern density on step graphons:
+    one graphon, c (m,) and p (m, m), or a batch, (B, m) and (B, m, m)."""
 
     def __init__(self, pattern: SubgraphPattern):
         self.pattern = pattern
         self.kind, self.arity = _classify(pattern)
-        self._sub = pattern_subscripts(pattern)
-        self._grad_subs: dict[str, list] | None = None
+        # generic einsum: one operand per vertex (masses) and per edge
+        # (values), subscripts led by the batch letter z; the gradient with
+        # respect to one operand contracts all the others
+        idx = _LETTERS[: pattern.k]
+        terms = [_BATCH + v for v in idx] + [
+            _BATCH + idx[u - 1] + idx[v - 1] for u, v in pattern.all_edges
+        ]
+        self._sub = ",".join(terms) + "->" + _BATCH
+
+        def others(pos: int, out: str) -> tuple[str, int]:
+            return ",".join(terms[:pos] + terms[pos + 1 :]) + "->" + out, pos
+
+        k = pattern.k
+        self._edge_subs = [others(k + e, terms[k + e]) for e in range(len(pattern.all_edges))]
+        self._vert_subs = [
+            others(w, terms[w] if any(idx[w] in t for t in terms[k:]) else _BATCH)
+            for w in range(k)
+        ]
         self._paths: dict[tuple, object] = {}
 
     # -- generic einsum machinery ------------------------------------------
 
-    def _build_grad_subs(self):
-        p = self.pattern
-        idx = _LETTERS[: p.k]
-        terms = list(idx) + [idx[u - 1] + idx[v - 1] for u, v in p.all_edges]
-        edge_subs = []
-        for e in range(len(p.all_edges)):
-            pos = p.k + e
-            rest = terms[:pos] + terms[pos + 1 :]
-            edge_subs.append((",".join(rest) + "->" + terms[pos], pos))
-        vert_subs = []
-        for w in range(p.k):
-            rest = terms[:w] + terms[w + 1 :]
-            connected = any(idx[w] in t for t in rest)
-            out = idx[w] if connected else ""
-            vert_subs.append((",".join(rest) + "->" + out, w, connected))
-        self._grad_subs = {"edges": edge_subs, "verts": vert_subs}
-
     def _path(self, sub: str, ops) -> object:
-        key = (sub, ops[0].shape[0] if ops[0].ndim else 0, tuple(o.ndim for o in ops))
+        key = (sub, ops[0].shape[-1])
         path = self._paths.get(key)
         if path is None:
             path, _ = np.einsum_path(sub, *ops, optimize="greedy")
@@ -88,109 +118,109 @@ class DensityEvaluator:
             ops += [comp] * len(pat.absent)
         return ops
 
-    def _generic_value(self, c, p) -> float:
+    def _generic_value(self, c, p) -> np.ndarray:
         ops = self._operands(c, p)
-        return float(np.einsum(self._sub, *ops, optimize=self._path(self._sub, ops)))
+        return np.einsum(self._sub, *ops, optimize=self._path(self._sub, ops))
 
     def _generic_grads(self, c, p):
-        if self._grad_subs is None:
-            self._build_grad_subs()
-        pat = self.pattern
         ops = self._operands(c, p)
-        n_present = len(pat.edges)
+        n_present = len(self.pattern.edges)
         g_full = np.zeros_like(p)
-        for e, (sub, pos) in enumerate(self._grad_subs["edges"]):
+        for e, (sub, pos) in enumerate(self._edge_subs):
             rest = ops[:pos] + ops[pos + 1 :]
             part = np.einsum(sub, *rest, optimize=self._path(sub, rest))
-            if e < n_present:
-                g_full += part
-            else:
-                g_full -= part
+            g_full += part if e < n_present else -part
         dc = np.zeros_like(c)
-        for sub, pos, connected in self._grad_subs["verts"]:
+        for sub, pos in self._vert_subs:
             rest = ops[:pos] + ops[pos + 1 :]
             if not rest:
                 dc += 1.0
                 continue
             part = np.einsum(sub, *rest, optimize=self._path(sub, rest))
-            dc += part if connected else float(part)
+            dc += part if part.ndim == 2 else part[:, None]
         return g_full, dc
 
     # -- public API ---------------------------------------------------------
 
-    def value(self, c: np.ndarray, p: np.ndarray) -> float:
+    def value(self, c: np.ndarray, p: np.ndarray):
+        """The density: a float for one graphon, a (B,) array for a batch."""
+        c, p, single = _as_batch(c, p)
         kind = self.kind
         if kind == "edge":
-            return float(c @ p @ c)
-        if kind == "triangle":
-            pdp = p @ (c[:, None] * p)
-            return float(c @ (pdp * p) @ c)
-        if kind == "star":
-            r = p @ c
-            return float(c @ r**self.arity)
-        if kind == "signed2star":
-            r = p @ c
-            return float(c @ (r * (1.0 - r)))
-        return self._generic_value(c, p)
+            val = _dot(_vm(c, p), c)
+        elif kind == "triangle":
+            pdp = p @ (c[:, :, None] * p)
+            val = _dot(_vm(c, pdp * p), c)
+        elif kind == "star":
+            val = _dot(c, _mv(p, c) ** self.arity)
+        elif kind == "signed2star":
+            r = _mv(p, c)
+            val = _dot(c, r * (1.0 - r))
+        else:
+            val = self._generic_value(c, p)
+        return float(val[0]) if single else val
 
     def value_and_grads(self, c: np.ndarray, p: np.ndarray):
-        """Returns (value, dV symmetric-parameter gradient, dc mass gradient)."""
+        """Returns (value, dV symmetric-parameter gradient, dc mass gradient),
+        with the batch axis of (c, p) if it has one."""
+        c, p, single = _as_batch(c, p)
         kind = self.kind
         if kind == "edge":
-            val = float(c @ p @ c)
-            g_full = np.outer(c, c)
-            dc = 2.0 * (p @ c)
-            return val, _symmetrize_grad(g_full), dc
-        if kind == "triangle":
-            pdp = p @ (c[:, None] * p)
-            val = float(c @ (pdp * p) @ c)
-            g_full = 3.0 * np.outer(c, c) * pdp
-            dc = 3.0 * ((pdp * p) @ c)
-            return val, _symmetrize_grad(g_full), dc
-        if kind == "star":
+            val = _dot(_vm(c, p), c)
+            g_full = c[:, :, None] * c[:, None, :]
+            dc = 2.0 * _mv(p, c)
+        elif kind == "triangle":
+            pdp = p @ (c[:, :, None] * p)
+            val = _dot(_vm(c, pdp * p), c)
+            g_full = 3.0 * (c[:, :, None] * c[:, None, :]) * pdp
+            dc = 3.0 * _mv(pdp * p, c)
+        elif kind == "star":
             x = self.arity
-            r = p @ c
+            r = _mv(p, c)
             rx1 = r ** (x - 1) if x > 1 else np.ones_like(r)
-            val = float(c @ (r * rx1))
-            g_full = x * np.outer(c * rx1, c)
-            dc = r * rx1 + x * (p @ (c * rx1))
-            return val, _symmetrize_grad(g_full), dc
-        if kind == "signed2star":
-            r = p @ c
-            val = float(c @ (r * (1.0 - r)))
-            g_full = np.outer(c * (1.0 - 2.0 * r), c)
-            dc = r * (1.0 - r) + p @ (c * (1.0 - 2.0 * r))
-            return val, _symmetrize_grad(g_full), dc
-        val = self._generic_value(c, p)
-        g_full, dc = self._generic_grads(c, p)
-        return val, _symmetrize_grad(g_full), dc
+            val = _dot(c, r * rx1)
+            g_full = x * ((c * rx1)[:, :, None] * c[:, None, :])
+            dc = r * rx1 + x * _mv(p, c * rx1)
+        elif kind == "signed2star":
+            r = _mv(p, c)
+            val = _dot(c, r * (1.0 - r))
+            g_full = (c * (1.0 - 2.0 * r))[:, :, None] * c[:, None, :]
+            dc = r * (1.0 - r) + _mv(p, c * (1.0 - 2.0 * r))
+        else:
+            val = self._generic_value(c, p)
+            g_full, dc = self._generic_grads(c, p)
+        dv = _symmetrize_grad(g_full)
+        return (float(val[0]), dv[0], dc[0]) if single else (val, dv, dc)
 
 
 class EntropyObjective:
     """Graphon Shannon entropy with analytic gradients, duck-typed like
-    DensityEvaluator for the optimizer."""
+    DensityEvaluator (batch axis included) for the optimizer."""
 
     @staticmethod
-    def value(c: np.ndarray, p: np.ndarray) -> float:
-        q = np.clip(p, 0.0, 1.0)
-        h = np.zeros_like(q)
-        mask = (q > 0) & (q < 1)
-        qm = q[mask]
-        h[mask] = qm * np.log(qm) + (1.0 - qm) * np.log1p(-qm)
-        return float(-0.5 * c @ h @ c)
+    def value(c: np.ndarray, p: np.ndarray):
+        c, p, single = _as_batch(c, p)
+        q = np.minimum(np.maximum(p, 0.0), 1.0)
+        inside = (q > 0) & (q < 1)
+        qi = np.where(inside, q, 0.5)
+        h = np.where(inside, qi * np.log(qi) + (1.0 - qi) * np.log1p(-qi), 0.0)
+        val = _dot(_vm(-0.5 * c, h), c)
+        return float(val[0]) if single else val
 
     @staticmethod
     def value_and_grads(c: np.ndarray, p: np.ndarray):
-        q = np.clip(p, _LOG_CLIP, 1.0 - _LOG_CLIP)
-        h = q * np.log(q) + (1.0 - q) * np.log1p(-q)
-        val = float(-0.5 * c @ h @ c)
-        logit = np.log(q) - np.log1p(-q)
-        g_full = -0.5 * np.outer(c, c) * logit
-        dc = -(h @ c)
-        return val, _symmetrize_grad(g_full), dc
+        c, p, single = _as_batch(c, p)
+        q = np.minimum(np.maximum(p, _LOG_CLIP), 1.0 - _LOG_CLIP)
+        log_q, log_1mq = np.log(q), np.log1p(-q)
+        h = q * log_q + (1.0 - q) * log_1mq
+        val = _dot(_vm(-0.5 * c, h), c)
+        g_full = -0.5 * (c[:, :, None] * c[:, None, :]) * (log_q - log_1mq)
+        dv = _symmetrize_grad(g_full)
+        dc = -_mv(h, c)
+        return (float(val[0]), dv[0], dc[0]) if single else (val, dv, dc)
 
 
 def mass_chain_rule(c: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. normalized positive mass variables w (at sum(w)=1):
-    dF/dw_i = dF/dc_i - sum_k c_k dF/dc_k."""
-    return dc - float(c @ dc)
+    dF/dw_i = dF/dc_i - sum_k c_k dF/dc_k, per row of a batch."""
+    return dc - _dot(c, dc)[..., None]

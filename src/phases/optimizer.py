@@ -5,24 +5,26 @@ subject to pattern-density constraints, by augmented-Lagrangian projected
 gradient ascent with analytic gradients and deterministic multistart.
 Block values are kept strictly inside (0,1) during ascent because the
 entropy gradient diverges at the endpoints; masses are optimized as
-normalized positive variables so they stay exactly on the simplex.
+normalized positive variables so they stay exactly on the simplex.  All
+starts of one m are solved as one NumPy batch (`_multistart`), in which each
+start takes the same steps, bit for bit, as it would alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .gradients import DensityEvaluator, EntropyObjective, mass_chain_rule
+from .gradients import DensityEvaluator, EntropyObjective, _dot, mass_chain_rule
 from .graphon import (
     ConstraintVector,
     StepGraphon,
     SubgraphPattern,
     canonicalize,
     graphon_entropy,
-    subgraph_density,
     DEFAULT_MERGE_TOL,
 )
 
@@ -123,17 +125,28 @@ def reference_construction(eps: float, tau: float) -> StepGraphon:
         return StepGraphon(
             [0.5, 0.5], [[eps - x, eps + x], [eps + x, eps - x]]
         )
+    a = _symmetric_branch_root(eps, tau, slack=1e-12)
+    if a is None:
+        top = min(1.0, 2.0 * eps)
+        top_tau = (top**3 + 3.0 * top * (2.0 * eps - top) ** 2) / 4
+        raise ValueError(f"triangle density {tau} above the symmetric bipodal branch "
+                         f"(max {top_tau:.6g} at edge density {eps})")
+    d = 2.0 * eps - a
+    return StepGraphon([0.5, 0.5], [[a, d], [d, a]])
+
+
+def _symmetric_branch_root(eps: float, tau: float, slack: float = 0.0) -> float | None:
+    """Diagonal a of the symmetric bipodal branch: the root in [eps, min(1, 2 eps)]
+    of the nondecreasing cubic a^3 + 3 a (2 eps - a)^2 = 4 tau, bisected to the
+    last float; None when the cubic stays more than slack below 4 tau."""
 
     def f(a: float) -> float:
         d = 2.0 * eps - a
         return a**3 + 3.0 * a * d * d - 4.0 * tau
 
     lo, hi = eps, min(1.0, 2.0 * eps)
-    if f(hi) < -1e-12:
-        raise ValueError(
-            f"triangle density {tau} above the symmetric bipodal branch "
-            f"(max {(f(hi) + 4 * tau) / 4:.6g} at edge density {eps})"
-        )
+    if f(hi) < -slack:
+        return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -142,9 +155,7 @@ def reference_construction(eps: float, tau: float) -> StepGraphon:
             lo = mid
         else:
             hi = mid
-    a = 0.5 * (lo + hi)
-    d = 2.0 * eps - a
-    return StepGraphon([0.5, 0.5], [[a, d], [d, a]])
+    return 0.5 * (lo + hi)
 
 
 def staircase_graphon(m: int) -> StepGraphon:
@@ -193,30 +204,16 @@ def _bipodal_formula_candidates(eps: float, tau: float) -> list[StepGraphon]:
             out.append(
                 StepGraphon([0.5, 0.5], [[eps - x, eps + x], [eps + x, eps - x]])
             )
-    if tau > e3:
-
-        def f(a: float) -> float:
-            d = 2.0 * eps - a
-            return a**3 + 3.0 * a * d * d - 4.0 * tau
-
-        lo, hi = eps, min(1.0, 2.0 * eps)
-        if f(hi) >= 0.0:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if f(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            a = 0.5 * (lo + hi)
-            d = 2.0 * eps - a
-            if 0.0 <= d <= 1.0 and 0.0 <= a <= 1.0:
-                out.append(StepGraphon([0.5, 0.5], [[a, d], [d, a]]))
+    a = _symmetric_branch_root(eps, tau) if tau > e3 else None
+    if a is not None:
+        d = 2.0 * eps - a
+        if 0.0 <= d <= 1.0 and 0.0 <= a <= 1.0:
+            out.append(StepGraphon([0.5, 0.5], [[a, d], [d, a]]))
     return out
 
 
 def _closed_form_candidates(constraints: ConstraintVector) -> list[StepGraphon]:
     pats = constraints.patterns
-    targets = constraints.targets
     cands: list[StepGraphon] = []
     by_pat = {p: t for p, t in constraints.terms}
     edge = SubgraphPattern.edge()
@@ -242,100 +239,151 @@ def _closed_form_candidates(constraints: ConstraintVector) -> list[StepGraphon]:
 # augmented-Lagrangian solver
 
 
-def _sym_from_triu(m: int, iu, u: np.ndarray) -> np.ndarray:
-    p = np.zeros((m, m))
-    p[iu] = u
-    p = p + p.T
-    p[np.diag_indices(m)] /= 2.0
-    return p
+@lru_cache(maxsize=None)
+def _triu(m: int):
+    """Upper-triangle indices of m x m, and each entry's upper-triangle position."""
+    iu = np.triu_indices(m)
+    pos = np.zeros((m, m), dtype=int)
+    pos[iu] = pos[iu[1], iu[0]] = np.arange(len(iu[0]))
+    return iu, pos
+
+
+def _sym_from_triu(u: np.ndarray, m: int) -> np.ndarray:
+    """Symmetric values (..., m, m) from upper-triangle entries (..., T), in C
+    order: a strided layout would make BLAS round a row unlike a single graphon."""
+    return np.take(u, _triu(m)[1], axis=-1)
+
+
+def _gaps(evals, targets, c, p) -> np.ndarray:
+    """Constraint residuals t_j(c, p) - alpha_j, per row of a batch."""
+    g = np.empty((len(c), len(evals)))
+    for j, ev in enumerate(evals):
+        g[:, j] = ev.value(c, p) - targets[j]
+    return g
+
+
+def _al(obj, g, lam, rho):
+    """AL objective obj - lam . g - rho |g|^2 / 2, per row."""
+    return obj - _dot(lam, g) - 0.5 * rho * _dot(g, g)
+
+
+def _al_grads(objective, evals, targets, lam, rho, c, p):
+    obj, dv, dc = objective.value_and_grads(c, p)
+    g = np.empty((len(c), len(evals)))
+    for j, ev in enumerate(evals):
+        t, dvj, dcj = ev.value_and_grads(c, p)
+        g[:, j] = t - targets[j]
+        coef = lam[:, j] + rho * g[:, j]
+        dv = dv - coef[:, None, None] * dvj
+        dc = dc - coef[:, None] * dcj
+    return _al(obj, g, lam, rho), g, dv, dc, obj
+
+
+def _project(theta, m, opts):
+    """Rows of theta = (masses, upper-triangle values) moved back into the
+    domain: masses floored and renormalized, values kept inside (0,1)."""
+    w = np.maximum(theta[:, :m], opts.mass_floor)
+    u = np.minimum(np.maximum(theta[:, m:], opts.value_floor), 1.0 - opts.value_floor)
+    return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
 
 
 def _ascend(c, p, lam, rho, objective, evals, targets, opts):
-    """Maximize the AL objective from (c, p); returns (c, p, g, obj_value)."""
-    m = c.shape[0]
-    iu = np.triu_indices(m)
-    w = c.copy()
-    u = p[iu].copy()
+    """Maximize the AL objective from each row of (c, p); returns (c, p, g, obj).
 
-    def al_value(cv, pv):
-        obj = objective.value(cv, pv)
-        g = np.array([ev.value(cv, pv) for ev in evals]) - targets
-        return obj - lam @ g - 0.5 * rho * (g @ g), g, obj
+    Each row has its own Barzilai-Borwein step, Armijo backtracking and
+    stationarity, stall and failed-step stops, and leaves the batch when it
+    stops."""
+    n, m = c.shape
+    (iu0, iu1), _ = _triu(m)
+    out = (np.empty_like(c), np.empty((n, m, m)), np.empty((n, len(evals))), np.empty(n))
 
-    def al_grads(cv, pv):
-        obj, dv, dc = objective.value_and_grads(cv, pv)
-        dv = dv.copy()
-        dc = dc.copy()
-        g = np.empty(len(evals))
-        for j, ev in enumerate(evals):
-            t, dvj, dcj = ev.value_and_grads(cv, pv)
-            g[j] = t - targets[j]
-            coef = lam[j] + rho * g[j]
-            dv -= coef * dvj
-            dc -= coef * dcj
-        val = obj - lam @ g - 0.5 * rho * (g @ g)
-        return val, g, dv, dc, obj
+    def grad_of(theta, dv, dc):
+        return np.concatenate([mass_chain_rule(theta[:, :m], dc), dv[:, iu0, iu1]], axis=1)
 
-    lo, hi = opts.value_floor, 1.0 - opts.value_floor
-    u = np.clip(u, lo, hi)
-    cv, pv = w.copy(), _sym_from_triu(m, iu, u)
-    f, g, dv, dc, obj = al_grads(cv, pv)
-    eta = 0.05
-    stall = 0
-    prev_theta = None
-    prev_grad = None
-    for _ in range(opts.max_inner):
-        gu = dv[iu]
-        gw = mass_chain_rule(cv, dc) if m > 1 else np.zeros(1)
-        theta = np.concatenate([w, u])
-        grad = np.concatenate([gw, gu])
-        # projected-gradient stationarity probe
-        probe_u = np.clip(u + gu, lo, hi) - u
-        if m > 1:
-            wp = np.clip(w + gw, opts.mass_floor, None)
-            probe_w = wp / wp.sum() - w
-        else:
-            probe_w = np.zeros(1)
-        if max(np.abs(probe_u).max(initial=0.0), np.abs(probe_w).max(initial=0.0)) < opts.gtol:
-            break
-        # Barzilai-Borwein trial step (spectral), Armijo-safeguarded
-        if prev_theta is not None:
-            dth = theta - prev_theta
-            dgr = grad - prev_grad
-            denom = -float(dth @ dgr)
-            if denom > 1e-18:
-                eta = float(dth @ dth) / denom
-        eta = min(max(eta, 1e-10), 1e3)
-        prev_theta, prev_grad = theta, grad
-        accepted = False
-        for _bt in range(60):
-            u_n = np.clip(u + eta * gu, lo, hi)
-            if m > 1:
-                w_n = np.clip(w + eta * gw, opts.mass_floor, None)
-                w_n = w_n / w_n.sum()
-            else:
-                w_n = w
-            c_n, p_n = w_n, _sym_from_triu(m, iu, u_n)
-            f_n, g_n, obj_n = al_value(c_n, p_n)
-            gain = float(gu @ (u_n - u)) + float(gw @ (w_n - w))
-            if f_n + 1e-18 >= f + 1e-4 * max(gain, 0.0):
-                accepted = True
+    def stationary(theta, grad):  # projected-gradient probe
+        return np.abs(_project(theta + grad, m, opts) - theta).max(axis=1) < opts.gtol
+
+    rows = np.arange(n)
+    u = np.clip(p[:, iu0, iu1], opts.value_floor, 1.0 - opts.value_floor)
+    theta = np.concatenate([c, u], axis=1)
+    pv = _sym_from_triu(theta[:, m:], m)
+    f, g, dv, dc, obj = _al_grads(objective, evals, targets, lam, rho, theta[:, :m], pv)
+    grad = grad_of(theta, dv, dc)
+    eta = np.full(n, 0.05)
+    stall = np.zeros(n, dtype=int)
+    stop = stationary(theta, grad)
+    for it in range(opts.max_inner + 1):
+        stop |= it == opts.max_inner
+        if stop.any():
+            for dst, src in zip(out, (theta[:, :m], pv, g, obj)):
+                dst[rows[stop]] = src[stop]
+            keep = ~stop
+            rows, lam, rho, theta, grad, pv, f, g, obj, eta, stall = (
+                a[keep] for a in (rows, lam, rho, theta, grad, pv, f, g, obj, eta, stall)
+            )
+            if not rows.size:
                 break
-            eta /= 2.0
-            if eta < 1e-14:
-                break
-        if not accepted:
-            break
+        ok, theta_n, p_n, f_n = _backtrack(
+            theta, grad, pv, f, eta, lam, rho, objective, evals, targets, opts
+        )
         delta_f = f_n - f
-        w, u, cv, pv = w_n, u_n, c_n, p_n
-        f, g, dv, dc, obj = al_grads(cv, pv)
-        if abs(delta_f) < 1e-15 * max(1.0, abs(f)):
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-    return cv, pv, g, obj
+        theta_0, grad_0 = theta, grad
+        theta, pv = theta_n, p_n
+        f, g, dv, dc, obj = _al_grads(objective, evals, targets, lam, rho, theta[:, :m], pv)
+        grad = grad_of(theta, dv, dc)
+        flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
+        stall = np.where(flat, stall + 1, 0)
+        stop = ~ok | (stall >= 3) | stationary(theta, grad)
+        # Barzilai-Borwein (spectral) step for the next trial
+        dth, dgr = theta - theta_0, grad - grad_0
+        denom = -_dot(dth, dgr)
+        bb = denom > 1e-18
+        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
+        eta = np.minimum(np.maximum(eta, 1e-10), 1e3)
+    return out
+
+
+def _backtrack(theta, grad, pv, f, eta, lam, rho, objective, evals, targets, opts):
+    """Armijo backtracking from each row along its gradient.
+
+    Trial j steps by eta / 2^j, for j < 60 while that is at least 1e-14; the
+    first trial passing the Armijo test is taken.  Trials are independent, so
+    each round tries a block of them per searching row as extra batch rows.
+    Returns (accepted, theta, p, f) per row (the current point where no trial
+    passed) and sets eta to each accepted step."""
+    n, m = pv.shape[:2]
+    rows = np.arange(n)  # rows still searching
+    first = 0
+    for size in (1, 8, 16, 35):  # trials per searching row and round, 60 in all
+        j = np.arange(first, first + size)
+        steps = eta[rows, None] / 2.0**j
+        valid = (steps >= 1e-14) | (j == 0)
+        src = np.repeat(rows, size)
+        th0, g0 = theta[src], grad[src]
+        th = _project(th0 + steps.reshape(-1, 1) * g0, m, opts)
+        pt = _sym_from_triu(th[:, m:], m)
+        gt = _gaps(evals, targets, th[:, :m], pt)
+        ft = _al(objective.value(th[:, :m], pt), gt, lam[src], rho[src])
+        step = th - th0
+        gain = _dot(g0[:, m:], step[:, m:]) + _dot(g0[:, :m], step[:, :m])
+        hit = (ft + 1e-18 >= f[src] + 1e-4 * np.maximum(gain, 0.0)).reshape(-1, size) & valid
+        found = hit.any(axis=1)
+        if first == 0:
+            if found.all():
+                return found, th, pt, ft
+            ok = np.zeros(n, dtype=bool)
+            theta_n, p_n, f_n = theta.copy(), pv.copy(), f.copy()
+        k = hit.argmax(axis=1)[found]
+        take = np.flatnonzero(found) * size + k
+        done = rows[found]
+        ok[done] = True
+        theta_n[done], p_n[done], f_n[done] = th[take], pt[take], ft[take]
+        eta[done] = steps[found, k]
+        rows = rows[~found & valid[:, -1]]
+        first += size
+        if not rows.size:
+            break
+    return ok, theta_n, p_n, f_n
 
 
 def _polish(c, p, objective, evals, targets, opts, max_iter=200):
@@ -344,78 +392,56 @@ def _polish(c, p, objective, evals, targets, opts, max_iter=200):
     Sharpens a feasible AL solution: steps along the objective gradient
     projected onto the tangent space of the constraint manifold, restoring
     t(q) = alpha after each step.  First-order AL alone crawls along the
-    manifold; this recovers the last digits."""
+    manifold; this recovers the last digits.  theta is one row (1, m + T)."""
     m = c.shape[0]
-    iu = np.triu_indices(m)
-    lo, hi = opts.value_floor, 1.0 - opts.value_floor
-    w = c.copy()
-    u = np.clip(p[iu].copy(), lo, hi)
+    (iu0, iu1), _ = _triu(m)
+    ridge = 1e-14 * np.eye(len(evals))
 
-    def build(wv, uv):
-        return wv, _sym_from_triu(m, iu, uv)
+    def split(theta):
+        return theta[0, :m], _sym_from_triu(theta[0, m:], m)
 
-    def constraints_at(cv, pv):
-        g = np.empty(len(evals))
-        rows = []
+    def constraints_at(theta):
+        cv, pv = split(theta)
+        g, jac = np.empty(len(evals)), np.empty((len(evals), theta.shape[1]))
         for j, ev in enumerate(evals):
             t, dvj, dcj = ev.value_and_grads(cv, pv)
             g[j] = t - targets[j]
-            gw = mass_chain_rule(cv, dcj) if m > 1 else np.zeros(1)
-            rows.append(np.concatenate([gw, dvj[iu]]))
-        return g, np.array(rows)
+            jac[j] = np.concatenate([mass_chain_rule(cv, dcj), dvj[iu0, iu1]])
+        return g, jac
 
-    def restore(wv, uv):
+    def restore(theta):
         for _ in range(20):
-            cv, pv = build(wv, uv)
-            g, jac = constraints_at(cv, pv)
+            g, jac = constraints_at(theta)
             if np.abs(g).max(initial=0.0) < 0.1 * opts.feasibility_tol:
-                return wv, uv, True
-            jjt = jac @ jac.T
+                return theta, True
             try:
-                lam = np.linalg.solve(jjt + 1e-14 * np.eye(len(evals)), g)
+                lam = np.linalg.solve(jac @ jac.T + ridge, g)
             except np.linalg.LinAlgError:
-                return wv, uv, False
-            step = jac.T @ lam
-            wv = wv - step[:m] if m > 1 else wv
-            if m > 1:
-                wv = np.clip(wv, opts.mass_floor, None)
-                wv = wv / wv.sum()
-            uv = np.clip(uv - step[m:], lo, hi)
-        cv, pv = build(wv, uv)
-        g, _ = constraints_at(cv, pv)
-        return wv, uv, bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol)
+                return theta, False
+            theta = _project(theta - jac.T @ lam, m, opts)
+        g, _ = constraints_at(theta)
+        return theta, bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol)
 
-    w, u, ok = restore(w, u)
-    if not ok:
-        cv, pv = build(w, u)
-        g, _ = constraints_at(cv, pv)
-        return cv, pv, g, objective.value(cv, pv), False
-    step = 0.05
-    cv, pv = build(w, u)
+    u = np.clip(p[iu0, iu1], opts.value_floor, 1.0 - opts.value_floor)
+    theta, ok = restore(np.concatenate([c, u])[None])
+    cv, pv = split(theta)
     obj = objective.value(cv, pv)
-    for _ in range(max_iter):
-        ov, dv, dc = objective.value_and_grads(cv, pv)
-        gw = mass_chain_rule(cv, dc) if m > 1 else np.zeros(1)
-        grad = np.concatenate([gw, dv[iu]])
-        g, jac = constraints_at(cv, pv)
-        jjt = jac @ jac.T + 1e-14 * np.eye(len(evals))
-        tang = grad - jac.T @ np.linalg.solve(jjt, jac @ grad)
+    step = 0.05
+    for _ in range(max_iter if ok else 0):
+        _, dv, dc = objective.value_and_grads(cv, pv)
+        grad = np.concatenate([mass_chain_rule(cv, dc), dv[iu0, iu1]])
+        _, jac = constraints_at(theta)
+        tang = grad - jac.T @ np.linalg.solve(jac @ jac.T + ridge, jac @ grad)
         if np.abs(tang).max(initial=0.0) < 1e-12:
             break
         improved = False
         for _bt in range(30):
-            u_n = np.clip(u + step * tang[m:], lo, hi)
-            if m > 1:
-                w_n = np.clip(w + step * tang[:m], opts.mass_floor, None)
-                w_n = w_n / w_n.sum()
-            else:
-                w_n = w
-            w_r, u_r, ok = restore(w_n, u_n)
-            if ok:
-                c_n, p_n = build(w_r, u_r)
+            trial, feasible = restore(_project(theta + step * tang, m, opts))
+            if feasible:
+                c_n, p_n = split(trial)
                 obj_n = objective.value(c_n, p_n)
                 if obj_n > obj + 1e-16:
-                    w, u, cv, pv, obj = w_r, u_r, c_n, p_n, obj_n
+                    theta, cv, pv, obj = trial, c_n, p_n, obj_n
                     improved = True
                     step = min(step * 1.6, 10.0)
                     break
@@ -424,44 +450,76 @@ def _polish(c, p, objective, evals, targets, opts, max_iter=200):
                 break
         if not improved:
             break
-    g, _ = constraints_at(cv, pv)
-    return cv, pv, g, obj, True
+    return cv, pv, constraints_at(theta)[0], obj, ok
 
 
-def _solve_single(c0, p0, objective, evals, targets, opts):
-    lam = np.zeros(len(evals))
-    rho = opts.penalty_init
-    c = np.asarray(c0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    feas_hist: list[float] = []
-    g = np.array([ev.value(c, p) for ev in evals]) - targets
-    obj = objective.value(c, p)
+def _record(c, p, objective, gaps, opts) -> dict:
+    res = np.abs(gaps)
+    feasible = bool(res.max(initial=0.0) < opts.feasibility_tol)
+    return {"c": c, "p": p, "objective": float(objective), "residuals": res, "feasible": feasible}
+
+
+def _multistart(objective, evals, targets, starts, raw, opts):
+    """Solve every start as one batch and pick the best solution.
+
+    Feasible raw points join the pool as they are.  Each start keeps its own
+    AL multipliers and penalty and leaves the batch once feasible or hopeless;
+    feasible rows are then polished one by one.  Returns (best, pool): pool
+    holds the feasible raw records, then one record per start; best is the
+    first feasible record of largest objective, else the smallest residual."""
+    pool = []
+    if raw:
+        c, p = (np.array(a, dtype=float) for a in zip(*raw))
+        recs = zip(raw, objective.value(c, p), _gaps(evals, targets, c, p))
+        pool = [r for r in (_record(*q, v, g, opts) for q, v, g in recs) if r["feasible"]]
+    c, p = (np.array(a, dtype=float) for a in zip(*starts))
+    lam = np.zeros((len(starts), len(evals)))
+    rho = np.full(len(starts), opts.penalty_init)
+    g, obj = _gaps(evals, targets, c, p), objective.value(c, p)
+    running = np.ones(len(starts), dtype=bool)
+    feas_hist: list[np.ndarray] = []
     for rnd in range(opts.max_outer):
-        c, p, g, obj = _ascend(c, p, lam, rho, objective, evals, targets, opts)
-        feas = float(np.abs(g).max(initial=0.0))
+        if not running.any():
+            break
+        c[running], p[running], g[running], obj[running] = _ascend(
+            c[running], p[running], lam[running], rho[running],
+            objective, evals, targets, opts,
+        )
+        feas = np.abs(g).max(axis=1, initial=0.0)
         feas_hist.append(feas)
-        if feas < opts.feasibility_tol:
-            break
-        # hopeless starts: feasibility stopped improving at a high level
-        if rnd >= 5 and feas > 0.7 * feas_hist[-4] and feas > 1e4 * opts.feasibility_tol:
-            break
-        lam = lam + rho * g
-        rho *= opts.penalty_growth
-    if np.abs(g).max(initial=0.0) < opts.feasibility_tol:
-        c, p, g, obj, _ = _polish(c, p, objective, evals, targets, opts)
-    return {
-        "c": c,
-        "p": p,
-        "objective": obj,
-        "residuals": np.abs(g),
-        "feasible": bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol),
-    }
+        stop = feas < opts.feasibility_tol
+        if rnd >= 5:
+            # hopeless starts: feasibility stopped improving at a high level
+            stop |= (feas > 0.7 * feas_hist[-4]) & (feas > 1e4 * opts.feasibility_tol)
+        running &= ~stop
+        lam[running] += rho[running, None] * g[running]
+        rho[running] *= opts.penalty_growth
+    for i in range(len(starts)):
+        ci, pi, gi, oi = c[i], p[i], g[i], obj[i]
+        if np.abs(gi).max(initial=0.0) < opts.feasibility_tol:
+            ci, pi, gi, oi, _ = _polish(ci, pi, objective, evals, targets, opts)
+        pool.append(_record(ci, pi, oi, gi, opts))
+    feasible = [r for r in pool if r["feasible"]]
+    if feasible:
+        return max(feasible, key=lambda r: r["objective"]), pool
+    return min(pool, key=lambda r: float(r["residuals"].max(initial=0.0))), pool
 
 
-def _start_list(constraints, m, opts, extra_seeds, rng):
+def _random_starts(starts, m, opts, rng) -> None:
+    """Fill starts up to opts.n_starts (Dirichlet masses, uniform values)."""
+    while len(starts) < opts.n_starts:
+        cr = np.clip(rng.dirichlet(np.ones(m)), opts.mass_floor, None)
+        cr /= cr.sum()
+        pr = rng.uniform(0.02, 0.98, (m, m))
+        starts.append((cr, (pr + pr.T) / 2.0))
+
+
+def _start_list(seeds, m, opts, rng):
+    """(starts, raw): each seed embedded into m blocks is a raw point, a start
+    and, for m > 1, a jittered start; random starts fill the rest."""
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     raw: list[tuple[np.ndarray, np.ndarray]] = []
-    for q in list(_closed_form_candidates(constraints)) + list(extra_seeds):
+    for q in seeds:
         emb = _split_to_m(q, m)
         if emb is None:
             continue
@@ -474,11 +532,7 @@ def _start_list(constraints, m, opts, extra_seeds, rng):
             noise = rng.uniform(-0.05, 0.05, (m, m))
             pj = np.clip(emb[1] + (noise + noise.T) / 2.0, 0.0, 1.0)
             starts.append((cj, pj))
-    while len(starts) < opts.n_starts:
-        cr = np.clip(rng.dirichlet(np.ones(m)), opts.mass_floor, None)
-        cr /= cr.sum()
-        pr = rng.uniform(0.02, 0.98, (m, m))
-        starts.append((cr, (pr + pr.T) / 2.0))
+    _random_starts(starts, m, opts, rng)
     return starts, raw
 
 
@@ -533,47 +587,17 @@ def maximize_entropy(
     opts = opts or OptimizerOptions()
     evals = [DensityEvaluator(p) for p in constraints.patterns]
     targets = constraints.targets
-    rng = np.random.default_rng(opts.seed)
-    starts, raw = _start_list(constraints, m, opts, extra_seeds, rng)
+    seeds = [*_closed_form_candidates(constraints), *extra_seeds]
+    starts, raw = _start_list(seeds, m, opts, np.random.default_rng(opts.seed))
 
-    pool = []
-    for c0, p0 in raw:
-        g = np.array([ev.value(c0, p0) for ev in evals]) - targets
-        if np.abs(g).max(initial=0.0) < opts.feasibility_tol:
-            pool.append(
-                {
-                    "c": c0,
-                    "p": p0,
-                    "objective": EntropyObjective.value(c0, p0),
-                    "residuals": np.abs(g),
-                    "feasible": True,
-                }
-            )
-    for c0, p0 in starts:
-        pool.append(_solve_single(c0, p0, EntropyObjective, evals, targets, opts))
-
-    feasible = [r for r in pool if r["feasible"]]
-    if not feasible:
-        best = min(pool, key=lambda r: float(r["residuals"].max(initial=0.0)))
-        return _result_from_solution(
-            best["c"], best["p"], best["residuals"], False, constraints, opts, m, None
-        )
-    best = feasible[0]
-    for r in feasible[1:]:
-        if r["objective"] > best["objective"]:
-            best = r
-    spread = None
-    best_key = _basin_key(best["c"], best["p"], opts)
-    second = None
-    for r in feasible:
-        if r is best or _basin_key(r["c"], r["p"], opts) == best_key:
-            continue
-        if second is None or r["objective"] > second:
-            second = r["objective"]
-    if second is not None:
-        spread = float(best["objective"] - second)
+    best, pool = _multistart(EntropyObjective, evals, targets, starts, raw, opts)
+    # spread: best against the best feasible solution in another basin
+    key = _basin_key(best["c"], best["p"], opts) if best["feasible"] else None
+    others = [r["objective"] for r in pool if r["feasible"] and r is not best
+              and _basin_key(r["c"], r["p"], opts) != key]
+    spread = float(best["objective"] - max(others)) if others else None
     return _result_from_solution(
-        best["c"], best["p"], best["residuals"], True, constraints, opts, m, spread
+        best["c"], best["p"], best["residuals"], best["feasible"], constraints, opts, m, spread
     )
 
 
@@ -613,19 +637,6 @@ def constrained_entropy(
     return feas[-1]
 
 
-class _DensityObjective:
-    """Adapter: maximize a pattern density instead of entropy."""
-
-    def __init__(self, pattern: SubgraphPattern):
-        self._ev = DensityEvaluator(pattern)
-
-    def value(self, c, p):
-        return self._ev.value(c, p)
-
-    def value_and_grads(self, c, p):
-        return self._ev.value_and_grads(c, p)
-
-
 def bounded_signed_max(
     objective: SubgraphPattern,
     zero_constraint: SubgraphPattern,
@@ -638,55 +649,15 @@ def bounded_signed_max(
     if not 1 <= m <= 12:
         raise ValueError("bounded_signed_max supports m in 1..12")
     opts = opts or OptimizerOptions()
-    obj = _DensityObjective(objective)
     evals = [DensityEvaluator(zero_constraint)]
     targets = np.array([0.0])
-    rng = np.random.default_rng(opts.seed)
-
-    seeds: list[StepGraphon] = [staircase_graphon(m)]
-    if m >= 2:
-        seeds.append(staircase_graphon(max(1, m // 2)))
-    seeds.append(StepGraphon.constant(0.5))
-
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    raw: list[tuple[np.ndarray, np.ndarray]] = []
-    for q in seeds:
-        emb = _split_to_m(q, m)
-        if emb is None:
-            continue
-        raw.append(emb)
-        starts.append((emb[0], np.clip(emb[1], 1e-7, 1.0 - 1e-7)))
-    while len(starts) < opts.n_starts:
-        cr = np.clip(rng.dirichlet(np.ones(m)), opts.mass_floor, None)
-        cr /= cr.sum()
-        pr = rng.uniform(0.02, 0.98, (m, m))
-        starts.append((cr, (pr + pr.T) / 2.0))
-
-    pool = []
-    for c0, p0 in raw:
-        g = np.array([evals[0].value(c0, p0)]) - targets
-        if np.abs(g).max() < opts.feasibility_tol:
-            pool.append(
-                {
-                    "c": c0,
-                    "p": p0,
-                    "objective": obj.value(c0, p0),
-                    "residuals": np.abs(g),
-                    "feasible": True,
-                }
-            )
-    for c0, p0 in starts:
-        pool.append(_solve_single(c0, p0, obj, evals, targets, opts))
-    feasible = [r for r in pool if r["feasible"]]
-    if not feasible:
-        best = min(pool, key=lambda r: float(r["residuals"].max()))
-        q = canonicalize(StepGraphon(best["c"], best["p"]), opts.merge_tol)
-        return SignedMaxResult(best["objective"], q, float(best["residuals"].max()), False, m)
-    best = feasible[0]
-    for r in feasible[1:]:
-        if r["objective"] > best["objective"]:
-            best = r
+    halves = [staircase_graphon(m // 2)] if m >= 2 else []
+    seeds = [staircase_graphon(m), *halves, StepGraphon.constant(0.5)]
+    raw = [_split_to_m(q, m) for q in seeds]  # no seed has more than m blocks
+    starts = [(c, np.clip(p, 1e-7, 1.0 - 1e-7)) for c, p in raw]
+    _random_starts(starts, m, opts, np.random.default_rng(opts.seed))
+    best, _ = _multistart(DensityEvaluator(objective), evals, targets, starts, raw, opts)
     q = canonicalize(StepGraphon(best["c"], best["p"]), opts.merge_tol)
     return SignedMaxResult(
-        float(best["objective"]), q, float(best["residuals"].max()), True, m
+        best["objective"], q, float(best["residuals"].max()), best["feasible"], m
     )

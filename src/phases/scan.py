@@ -150,13 +150,12 @@ class PhaseMap:
 
 
 def _solve_cell(patterns, x, y, opts, seeds):
+    # a ValueError is a target outside the solver's domain; anything else is
+    # a fault and propagates
     try:
         cons = ConstraintVector(((patterns[0], x), (patterns[1], y)))
-    except ValueError:
-        return ScanCell(x=x, y=y, failed=True)
-    try:
         res = constrained_entropy(cons, opts, extra_seeds=tuple(seeds))
-    except Exception:
+    except ValueError:
         return ScanCell(x=x, y=y, failed=True)
     cell = ScanCell(
         x=x,

@@ -1,0 +1,134 @@
+"""Property tests of the batched evaluation and the batched multistart.
+
+The optimizer solves all starts of one podality m as one batch, so every
+evaluator takes a leading batch axis.  These tests check that a batch gives
+row by row what one-graphon calls give, and that a start's solution does not
+depend on the other starts in its batch.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from phases.gradients import DensityEvaluator, EntropyObjective
+from phases.graphon import (
+    ConstraintVector,
+    StepGraphon,
+    SubgraphPattern,
+    graphon_entropy,
+    subgraph_density,
+)
+from phases.optimizer import (
+    OptimizerOptions,
+    _closed_form_candidates,
+    _multistart,
+    _start_list,
+)
+
+PATTERNS = {
+    "edge": SubgraphPattern.edge(),
+    "triangle": SubgraphPattern.triangle(),
+    "2star": SubgraphPattern.star(2),
+    "3star": SubgraphPattern.star(3),
+    "t1": SubgraphPattern.signed_two_star(),
+    "t2": SubgraphPattern.signed_square(),
+    "4cycle": SubgraphPattern.cycle(4),
+}
+KINDS = {"edge", "triangle", "star", "signed2star", "generic"}
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# no shrinking for solves: each example runs two multistarts, and shrinking a
+# failure would rerun them for minutes
+SOLVES = settings(
+    max_examples=8, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+
+
+def test_patterns_cover_every_evaluator_kind():
+    assert {DensityEvaluator(p).kind for p in PATTERNS.values()} == KINDS
+
+
+def random_batch(seed: int, batch: int, m: int, edges: bool):
+    """Masses on the simplex and symmetric values in [0,1]; with edges, some
+    values sit exactly on 0 or 1, where the entropy's masking applies."""
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.full(m, 1.5), size=batch)
+    p = rng.uniform(0.0, 1.0, (batch, m, m))
+    if edges:
+        p[rng.uniform(size=p.shape) < 0.2] = 0.0
+        p[rng.uniform(size=p.shape) < 0.2] = 1.0
+    return c, np.triu(p) + np.swapaxes(np.triu(p, 1), -1, -2)
+
+
+def assert_rows_match(objective, c, p):
+    vals = objective.value(c, p)
+    full = objective.value_and_grads(c, p)
+    assert vals.shape == (len(c),)
+    assert full[1].shape == p.shape and full[2].shape == c.shape
+    for i in range(len(c)):
+        v = objective.value(c[i], p[i])
+        assert isinstance(v, float)
+        assert vals[i] == pytest.approx(v, abs=1e-12)
+        single = objective.value_and_grads(c[i], p[i])
+        assert full[0][i] == pytest.approx(single[0], abs=1e-12)
+        np.testing.assert_allclose(full[1][i], single[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(full[2][i], single[2], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(PATTERNS)),
+    m=st.integers(1, 6),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.booleans(),
+)
+def test_batched_density_matches_rows(name, m, batch, seed, edges):
+    ev = DensityEvaluator(PATTERNS[name])
+    c, p = random_batch(seed, batch, m, edges)
+    assert_rows_match(ev, c, p)
+    for i in range(batch):
+        q = StepGraphon(c[i], p[i])
+        assert ev.value(c[i], p[i]) == pytest.approx(subgraph_density(q, ev.pattern), abs=1e-12)
+
+
+@PROPERTY
+@given(
+    m=st.integers(1, 6),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.booleans(),
+)
+def test_batched_entropy_matches_rows(m, batch, seed, edges):
+    c, p = random_batch(seed, batch, m, edges)
+    assert_rows_match(EntropyObjective, c, p)
+    for i in range(batch):
+        q = StepGraphon(c[i], p[i])
+        assert EntropyObjective.value(c[i], p[i]) == pytest.approx(graphon_entropy(q), abs=1e-12)
+
+
+@SOLVES
+@given(
+    m=st.integers(1, 3),
+    eps=st.floats(0.2, 0.5),
+    ratio=st.floats(0.3, 1.3),
+    seed=st.integers(0, 1000),
+    row=st.integers(0, 7),
+)
+def test_start_solution_does_not_depend_on_its_batch(m, eps, ratio, seed, row):
+    cons = ConstraintVector.edge_triangle(eps, ratio * eps**3)
+    opts = OptimizerOptions(n_starts=8, seed=seed)
+    seeds = _closed_form_candidates(cons)
+    starts, _ = _start_list(seeds, m, opts, np.random.default_rng(seed))
+    starts = starts[:8]
+    row = row % len(starts)
+    evals = [DensityEvaluator(p) for p in cons.patterns]
+    _, batch_pool = _multistart(EntropyObjective, evals, cons.targets, starts, [], opts)
+    _, alone_pool = _multistart(EntropyObjective, evals, cons.targets, [starts[row]], [], opts)
+    in_batch, alone = batch_pool[row], alone_pool[0]
+    assert in_batch["feasible"] == alone["feasible"]
+    assert in_batch["objective"] == pytest.approx(alone["objective"], abs=1e-10)
+    np.testing.assert_allclose(in_batch["c"], alone["c"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(in_batch["p"], alone["p"], rtol=0, atol=1e-10)

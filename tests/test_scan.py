@@ -6,6 +6,7 @@ import pytest
 
 from phases.graphon import SubgraphPattern
 from phases.optimizer import OptimizerOptions
+from phases import scan
 from phases.scan import phase_scan
 
 PATTERNS = (SubgraphPattern.edge(), SubgraphPattern.triangle())
@@ -99,3 +100,26 @@ def test_threaded_scan_matches_serial():
             # require agreement of the converged optima
             assert c1.entropy == pytest.approx(c2.entropy, abs=1e-7)
             assert c1.podality == c2.podality
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solver_fault_propagates(monkeypatch, threads):
+    # only a domain error marks a cell failed; a fault in the solver must not
+    # pass for an infeasible region of the map
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(scan, "constrained_entropy", broken)
+    with pytest.raises(RuntimeError, match="solver fault"):
+        phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_domain_error_marks_cell_failed(monkeypatch, threads):
+    def out_of_domain(*args, **kwargs):
+        raise ValueError("target outside the domain")
+
+    monkeypatch.setattr(scan, "constrained_entropy", out_of_domain)
+    pm = phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=threads)
+    flat = [pm.cells[ix][iy] for ix in range(2) for iy in range(2)]
+    assert all(c.failed and not c.feasible for c in flat)
