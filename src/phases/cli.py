@@ -118,9 +118,6 @@ def _resolve(ns: argparse.Namespace, sub: str) -> dict:
     for key, val in list(opts.items()):
         if val is None and (sub, key) in _DEFAULTS:
             opts[key] = _DEFAULTS[(sub, key)]
-    if opts.get("threads") is None:
-        env = os.environ.get("PHASES_THREADS")
-        opts["threads"] = int(env) if env else (os.cpu_count() or 1)
     return opts
 
 
@@ -160,7 +157,7 @@ def _optimizer_options(opts: dict) -> OptimizerOptions:
     )
 
 
-def _constraints_from_opts(opts: dict, need_delta: bool = False) -> ConstraintVector:
+def _constraints_from_opts(opts: dict) -> ConstraintVector:
     delta = float(opts.get("delta") or 0.0)
     if opts.get("constraints"):
         path = opts["constraints"]
@@ -250,7 +247,6 @@ def _cmd_scan(opts):
         _optimizer_options(opts),
         spike_factor=float(opts["spike_factor"]),
         model=opts["model"],
-        threads=int(opts["threads"]),
     )
     if opts["out"]:
         pm.to_csv(opts["out"])
@@ -273,7 +269,7 @@ def _cmd_scan(opts):
 
 
 def _cmd_sample(opts):
-    cons = _constraints_from_opts(opts, need_delta=True)
+    cons = _constraints_from_opts(opts)
     if cons.delta <= 0:
         raise UsageError("sampling needs --delta > 0")
     out_dir = opts["out_dir"]
@@ -281,8 +277,10 @@ def _cmd_sample(opts):
     chains = int(opts["chains"])
     # one RNG stream per chain: seeds split from the base seed
     seeds = np.random.SeedSequence(int(opts["seed"])).generate_state(chains)
-
-    def run_chain(ci: int):
+    summaries = []
+    rows = []
+    any_infeasible = False
+    for ci in range(chains):
         cfg = ChainConfig(
             n=int(opts["n"]),
             constraints=cons,
@@ -292,26 +290,10 @@ def _cmd_sample(opts):
             n_samples=int(opts["samples"]),
         )
         try:
-            return cfg, sample_constrained(cfg), None
+            run = sample_constrained(cfg)
         except SamplerInitError as exc:
-            return cfg, None, str(exc)
-
-    workers = max(1, min(int(opts["threads"]), chains))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chain, range(chains)))
-    else:
-        results = [run_chain(ci) for ci in range(chains)]
-
-    summaries = []
-    rows = []
-    any_infeasible = False
-    for ci, (cfg, run, err) in enumerate(results):
-        if err is not None:
             any_infeasible = True
-            summaries.append({"chain": ci, "error": err})
+            summaries.append({"chain": ci, "error": str(exc)})
             continue
         for si, g in enumerate(run.graphs):
             fname = f"chain{ci:02d}_sample{si:03d}.txt"
@@ -341,7 +323,7 @@ def _cmd_sample(opts):
 
 
 def _cmd_enumerate(opts):
-    cons = _constraints_from_opts(opts, need_delta=True)
+    cons = _constraints_from_opts(opts)
     rep = enumerate_Z(int(opts["n"]), cons)
     if opts["histogram"]:
         with open(opts["histogram"], "w") as fh:
@@ -427,7 +409,8 @@ def _common(parser, sub):
     _opt(parser, sub, "--manifest", help="manifest path (default: derived)")
     _opt(parser, sub, "--config", help="JSON/TOML config or a previous manifest")
     _opt(parser, sub, "--seed", type=int, default=0)
-    _opt(parser, sub, "--threads", type=int, help="worker threads (env PHASES_THREADS)")
+    _opt(parser, sub, "--threads", type=int, default=1,
+         help="recorded in the manifest only; every run is serial")
 
 
 def _optimizer_flags(parser, sub):

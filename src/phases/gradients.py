@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphon import SubgraphPattern, _star_arity, _LETTERS
+from .graphon import SubgraphPattern, _pattern_kind, _LETTERS
 
 _LOG_CLIP = 1e-12
 _BATCH = "z"
@@ -55,31 +55,13 @@ def _as_batch(c, p):
     return (c[None], p[None], True) if c.ndim == 1 else (c, p, False)
 
 
-def _classify(pattern: SubgraphPattern):
-    if pattern == SubgraphPattern.edge():
-        return ("edge", 0)
-    if pattern == SubgraphPattern.triangle():
-        return ("triangle", 0)
-    arity = _star_arity(pattern)
-    if arity is not None:
-        return ("star", arity)
-    if (
-        pattern.k == 3
-        and len(pattern.edges) == 1
-        and len(pattern.absent) == 1
-        and len(set(pattern.edges[0]) & set(pattern.absent[0])) == 1
-    ):
-        return ("signed2star", 0)
-    return ("generic", 0)
-
-
 class DensityEvaluator:
     """Value and analytic gradient of one pattern density on step graphons:
     one graphon, c (m,) and p (m, m), or a batch, (B, m) and (B, m, m)."""
 
     def __init__(self, pattern: SubgraphPattern):
         self.pattern = pattern
-        self.kind, self.arity = _classify(pattern)
+        self.kind, self.arity = _pattern_kind(pattern)
         # generic einsum: one operand per vertex (masses) and per edge
         # (values), subscripts led by the batch letter z; the gradient with
         # respect to one operand contracts all the others

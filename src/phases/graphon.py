@@ -436,13 +436,13 @@ def finite_density(g: FiniteGraph, pattern: SubgraphPattern) -> Fraction:
         raise ValueError(f"pattern has {pattern.k} vertices but graph has {g.n}")
     n, k = g.n, pattern.k
     a = g.adjacency
-    if pattern == SubgraphPattern.edge():
+    kind, r = _pattern_kind(pattern)
+    if kind == "edge":
         count = int(a.sum())
-    elif pattern == SubgraphPattern.triangle():
+    elif kind == "triangle":
         a64 = a.astype(np.int64)
         count = int(np.trace(a64 @ a64 @ a64))
-    elif _star_arity(pattern) is not None:
-        r = _star_arity(pattern)
+    elif kind == "star":
         degs = a.sum(axis=1)
         count = sum(_falling(int(d), r) for d in degs)
     else:
@@ -450,12 +450,26 @@ def finite_density(g: FiniteGraph, pattern: SubgraphPattern) -> Fraction:
     return Fraction(count, _falling(n, k))
 
 
-def _star_arity(pattern: SubgraphPattern) -> int | None:
-    """Number of star edges if the pattern is a k-star with center 1, else None."""
-    if pattern.absent or pattern.k < 2:
-        return None
-    expected = tuple(sorted((1, j) for j in range(2, pattern.k + 1)))
-    return pattern.k - 1 if pattern.edges == expected else None
+def _pattern_kind(pattern: SubgraphPattern) -> tuple[str, int]:
+    """Which closed-form density kernel a pattern has: ("edge", 0),
+    ("triangle", 0), ("star", r) for the r-star with center 1 (r >= 2),
+    ("signed2star", 0) for one present and one absent edge sharing a vertex,
+    and ("generic", 0) for anything else."""
+    if pattern == SubgraphPattern.edge():
+        return ("edge", 0)
+    if pattern == SubgraphPattern.triangle():
+        return ("triangle", 0)
+    star = tuple((1, j) for j in range(2, pattern.k + 1))
+    if pattern.k > 2 and not pattern.absent and pattern.edges == star:
+        return ("star", pattern.k - 1)
+    if (
+        pattern.k == 3
+        and len(pattern.edges) == 1
+        and len(pattern.absent) == 1
+        and len(set(pattern.edges[0]) & set(pattern.absent[0])) == 1
+    ):
+        return ("signed2star", 0)
+    return ("generic", 0)
 
 
 def blowup(g: FiniteGraph, k: int, node_cap: int = 20000) -> FiniteGraph:

@@ -25,7 +25,7 @@ from .graphon import (
     StepGraphon,
     SubgraphPattern,
     _falling,
-    _star_arity,
+    _pattern_kind,
     decimal_fraction,
     finite_density,
 )
@@ -35,6 +35,8 @@ logger = logging.getLogger(__name__)
 
 ENUM_N_CAP = 7
 GENERIC_N_CAP = 30
+# pattern kinds counted in closed form; any other goes to the generic count
+_COUNTED = ("edge", "triangle", "star")
 
 
 class SamplerInitError(RuntimeError):
@@ -124,19 +126,15 @@ class _DensityTracker:
         self.n = adj.shape[0]
         self.kinds: list[tuple[str, int]] = []
         for pat in constraints.patterns:
-            if pat == SubgraphPattern.edge():
-                self.kinds.append(("edge", 0))
-            elif pat == SubgraphPattern.triangle():
-                self.kinds.append(("triangle", 0))
-            elif _star_arity(pat) is not None:
-                self.kinds.append(("star", _star_arity(pat)))
-            else:
+            kind, r = _pattern_kind(pat)
+            if kind not in _COUNTED:
                 if self.n > GENERIC_N_CAP:
                     raise ValueError(
                         "incremental updates support edge/triangle/k-star "
                         f"patterns; generic patterns need n <= {GENERIC_N_CAP}"
                     )
-                self.kinds.append(("generic", 0))
+                kind = "generic"
+            self.kinds.append((kind, r))
         self.patterns = constraints.patterns
         self.denoms = [_count_denominator(p, self.n) for p in self.patterns]
         self.windows = [
@@ -481,13 +479,9 @@ def enumerate_Z(n: int, constraints: ConstraintVector) -> EnumerationReport:
     delta = constraints.delta
     kinds = []
     for pat, target in constraints.terms:
-        if pat == SubgraphPattern.edge():
-            kind, r, aux = "edge", 0, None
-        elif pat == SubgraphPattern.triangle():
-            kind, r, aux = "triangle", 0, None
-        elif _star_arity(pat) is not None:
-            kind, r, aux = "star", _star_arity(pat), None
-        else:
+        kind, r = _pattern_kind(pat)
+        aux = None
+        if kind not in _COUNTED:
             if not pat.is_all_present:
                 raise ValueError("enumeration constraints must be all-present patterns")
             classes = _pattern_mask_classes(pat, n, bit)

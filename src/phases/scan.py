@@ -1,15 +1,14 @@
 """Grid scans of a two-density constraint space.
 
-Each grid cell runs the escalating entropy optimizer (warm-started from the
-already-solved neighbors), records the canonical bipodal parameters, and
-finite differences of those parameters across the grid expose phase
-transitions as derivative spikes.
+Each grid cell runs the escalating entropy optimizer (warm-started from its
+already-solved left and lower neighbors), records the canonical bipodal
+parameters, and finite differences of those parameters across the grid
+expose phase transitions as derivative spikes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,41 +183,26 @@ def phase_scan(
     model: str = "edge-triangle",
     x_label: str = "eps",
     y_label: str = "tau",
-    threads: int = 1,
 ) -> PhaseMap:
     """Scan the constraint rectangle; infeasible and failed cells are recorded
-    (never dropped).  Cells are solved column by column, warm-started from the
-    left and lower neighbors; columns are parallelized over `threads` with a
-    deterministic merge order.  Transition candidates are cells where a
-    centered finite-difference parameter derivative exceeds spike_factor
-    times the grid median."""
+    (never dropped).  Cells are solved one after another, column by column,
+    each warm-started from the graphons of its left and lower neighbors.
+    Transition candidates are cells where a centered finite-difference
+    parameter derivative exceeds spike_factor times the grid median."""
     nx, ny = resolution
     if nx < 1 or ny < 1 or nx > RESOLUTION_CAP or ny > RESOLUTION_CAP:
         raise ValueError(f"resolution must be within 1..{RESOLUTION_CAP} per axis")
     opts = opts or OptimizerOptions()
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
-    cells: list[list[ScanCell | None]] = [[None] * ny for _ in range(nx)]
-
+    cells: list[list[ScanCell]] = [[] for _ in range(nx)]
     for ix in range(nx):
-        def solve_one(iy: int) -> ScanCell:
-            seeds = []
-            if ix > 0 and cells[ix - 1][iy] is not None and cells[ix - 1][iy].graphon is not None:
-                seeds.append(cells[ix - 1][iy].graphon)
-            if iy > 0 and cells[ix][iy - 1] is not None and cells[ix][iy - 1].graphon is not None:
-                seeds.append(cells[ix][iy - 1].graphon)
-            return _solve_cell(patterns, float(xs[ix]), float(ys[iy]), opts, seeds)
-
-        if threads > 1:
-            # lower-neighbor warm start is unavailable inside a parallel
-            # column; left-neighbor seeds still apply
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                col = list(pool.map(solve_one, range(ny)))
-            for iy, cell in enumerate(col):
-                cells[ix][iy] = cell
-        else:
-            for iy in range(ny):
-                cells[ix][iy] = solve_one(iy)
+        for iy in range(ny):
+            near = [cells[ix - 1][iy]] if ix else []
+            if iy:
+                near.append(cells[ix][iy - 1])
+            seeds = [c.graphon for c in near if c.graphon is not None]
+            cells[ix].append(_solve_cell(patterns, float(xs[ix]), float(ys[iy]), opts, seeds))
 
     params = np.full((nx, ny, len(PARAM_NAMES)), np.nan)
     for ix in range(nx):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from phases import scan
 from phases.cli import main
 from phases.graphon import StepGraphon
 from phases.serialize import load_finite_graph, load_step_graphon
@@ -158,7 +159,10 @@ def test_cut_distance_command(tmp_path, capsys):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PHASES_THREADS", "1")
+    # there is no fallback: neither PHASES_THREADS nor the CPU count reaches
+    # the recorded thread count
+    monkeypatch.setenv("PHASES_THREADS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code = run(tmp_path, "perm-count", "--n", "3", "--pattern", "12",
                "--alpha", "0.5", "--delta", "0.4")
     assert code == 0
@@ -166,3 +170,56 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     assert manifest["options"]["threads"] == 1
     assert manifest["subcommand"] == "perm-count"
     assert manifest["version"]
+
+
+SCAN_TILE = ("--eps-min", "0.4", "--eps-max", "0.44", "--tau-min", "0.03",
+             "--tau-max", "0.05", "--starts", "4", "--m-max", "2")
+
+
+def test_scan_output_does_not_depend_on_threads(tmp_path, capsys):
+    csvs = {}
+    for threads in ("1", "2"):
+        csvs[threads] = tmp_path / f"t{threads}.csv"
+        assert run(tmp_path, "scan", "--grid", "2x2", *SCAN_TILE,
+                   "--threads", threads, "--out", str(csvs[threads])) == 0
+    assert csvs["1"].read_bytes() == csvs["2"].read_bytes()
+    # a manifest that records two threads replays to the same bytes
+    manifest = tmp_path / "t2.csv.manifest.json"
+    assert json.loads(manifest.read_text())["options"]["threads"] == 2
+    replay = tmp_path / "replay.csv"
+    assert run(tmp_path, "scan", "--config", str(manifest), "--out", str(replay)) == 0
+    assert replay.read_bytes() == csvs["1"].read_bytes()
+
+
+def test_sample_output_does_not_depend_on_threads(tmp_path, capsys):
+    dirs = {}
+    for threads in ("1", "2"):
+        dirs[threads] = tmp_path / f"t{threads}"
+        assert run(tmp_path, "sample", "--n", "12", "--eps", "0.5", "--tau", "0.125",
+                   "--delta", "0.05", "--samples", "2", "--burn-in", "200",
+                   "--interval", "100", "--chains", "2", "--threads", threads,
+                   "--out-dir", str(dirs[threads])) == 0
+    names = sorted(f for f in os.listdir(dirs["1"]) if f != "manifest.json")
+    assert "samples.csv" in names and len(names) == 5
+    assert names == sorted(f for f in os.listdir(dirs["2"]) if f != "manifest.json")
+    for name in names:
+        assert (dirs["1"] / name).read_bytes() == (dirs["2"] / name).read_bytes()
+
+
+def test_scan_defaults_warm_start_from_both_neighbours(tmp_path, monkeypatch, capsys):
+    # at the CLI defaults (no --threads), every cell past the first row and
+    # column is seeded from its left and its lower neighbour
+    solve = scan.constrained_entropy
+    seeds = {}
+
+    def recording(cons, opts, extra_seeds=()):
+        seeds[tuple(t for _, t in cons.terms)] = len(extra_seeds)
+        return solve(cons, opts, extra_seeds=extra_seeds)
+
+    monkeypatch.setattr(scan, "constrained_entropy", recording)
+    assert run(tmp_path, "scan", "--grid", "3x2", *SCAN_TILE) == 0
+    xs, ys = np.linspace(0.4, 0.44, 3), np.linspace(0.03, 0.05, 2)
+    assert len(seeds) == 6
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            assert seeds[(float(x), float(y))] == (ix > 0) + (iy > 0)

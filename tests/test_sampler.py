@@ -8,6 +8,7 @@ from phases.optimizer import reference_construction
 from phases.sampler import (
     ChainConfig,
     SamplerInitError,
+    _DensityTracker,
     _count_denominator,
     _count_window,
     _sample_from_graphon,
@@ -140,6 +141,19 @@ class TestSampleConstrained:
         with pytest.raises(SamplerInitError):
             sample_constrained(ChainConfig(n=12, constraints=cons, seed=1, n_samples=1))
 
+    def test_only_counted_kinds_scale_past_the_generic_cap(self):
+        # edge, triangle and k-star counts are updated per toggle; any other
+        # pattern, the signed 2-star included, is recounted and capped in n
+        adj = np.zeros((31, 31), dtype=np.int8)
+        star = ConstraintVector(((SubgraphPattern.star(3), 0.1),), 0.05)
+        assert _DensityTracker(adj, star).kinds == [("star", 3)]
+        for pat in (SubgraphPattern.cycle(4), SubgraphPattern.signed_two_star()):
+            with pytest.raises(ValueError, match="n <= 30"):
+                _DensityTracker(adj, ConstraintVector(((pat, 0.1),), 0.05))
+        tracker = _DensityTracker(adj[:5, :5], ConstraintVector(
+            ((SubgraphPattern.signed_two_star(), 0.1),), 0.05))
+        assert tracker.kinds == [("generic", 0)]
+
 
 class TestBlockEstimation:
     def test_round_trip_bipodal(self, rng):
@@ -227,6 +241,11 @@ class TestEnumeration:
             if abs(d - Fraction(3, 10)) < Fraction(1, 10):
                 count += 1
         assert fast.z == count
+
+    def test_signed_pattern_rejected(self):
+        cons = ConstraintVector(((SubgraphPattern.signed_two_star(), 0.2),), 0.1)
+        with pytest.raises(ValueError, match="all-present"):
+            enumerate_Z(4, cons)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):

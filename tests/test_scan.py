@@ -90,20 +90,7 @@ def test_kstar_model_scan():
     assert cell.params[0] == pytest.approx(0.3, abs=1e-4)
 
 
-def test_threaded_scan_matches_serial():
-    pm1 = phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=1)
-    pm2 = phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=2)
-    for ix in range(2):
-        for iy in range(2):
-            c1, c2 = pm1.cells[ix][iy], pm2.cells[ix][iy]
-            # threaded columns lose the lower-neighbor warm start, so only
-            # require agreement of the converged optima
-            assert c1.entropy == pytest.approx(c2.entropy, abs=1e-7)
-            assert c1.podality == c2.podality
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_solver_fault_propagates(monkeypatch, threads):
+def test_solver_fault_propagates(monkeypatch):
     # only a domain error marks a cell failed; a fault in the solver must not
     # pass for an infeasible region of the map
     def broken(*args, **kwargs):
@@ -111,15 +98,14 @@ def test_solver_fault_propagates(monkeypatch, threads):
 
     monkeypatch.setattr(scan, "constrained_entropy", broken)
     with pytest.raises(RuntimeError, match="solver fault"):
-        phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=threads)
+        phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_domain_error_marks_cell_failed(monkeypatch, threads):
+def test_domain_error_marks_cell_failed(monkeypatch):
     def out_of_domain(*args, **kwargs):
         raise ValueError("target outside the domain")
 
     monkeypatch.setattr(scan, "constrained_entropy", out_of_domain)
-    pm = phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, threads=threads)
+    pm = phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST)
     flat = [pm.cells[ix][iy] for ix in range(2) for iy in range(2)]
     assert all(c.failed and not c.feasible for c in flat)
