@@ -69,11 +69,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DEFAULTS: dict[tuple[str, str], object] = {}
+# options a run needs, by (subcommand, dest); a --config file may supply them,
+# so they are checked after the merge, not by argparse
+_REQUIRED: dict[tuple[str, str], str] = {}
 
 
 def _opt(parser, sub: str, *names, default=None, **kwargs):
     action = parser.add_argument(*names, default=None, **kwargs)
     _DEFAULTS[(sub, action.dest)] = default
+    return action
+
+
+def _required(parser, sub: str, name: str, **kwargs):
+    action = parser.add_argument(name, **kwargs)
+    _REQUIRED[(sub, action.dest)] = name
     return action
 
 
@@ -115,6 +124,12 @@ def _resolve(ns: argparse.Namespace, sub: str) -> dict:
         for k, v in config.items():
             if opts.get(k) is None:
                 opts[k] = v
+    missing = [
+        name for (owner, dest), name in _REQUIRED.items()
+        if owner == sub and opts.get(dest) is None
+    ]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     for key, val in list(opts.items()):
         if val is None and (sub, key) in _DEFAULTS:
             opts[key] = _DEFAULTS[(sub, key)]
@@ -425,14 +440,14 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("density", help="pattern density of a step graphon")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--pattern", required=True)
+    _required(p, "density", "--graphon")
+    _required(p, "density", "--pattern")
     _opt(p, "density", "--vertex-cap", dest="vertex_cap", type=int, default=6)
     _common(p, "density")
     p.set_defaults(func=_cmd_density)
 
     p = subs.add_parser("entropy", help="Shannon entropy of a step graphon")
-    p.add_argument("--graphon", required=True)
+    _required(p, "entropy", "--graphon")
     _common(p, "entropy")
     p.set_defaults(func=_cmd_entropy)
 
@@ -451,8 +466,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("reference", help="closed-form edge/triangle construction")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    _required(p, "reference", "--eps", type=float)
+    _required(p, "reference", "--tau", type=float)
     _common(p, "reference")
     p.set_defaults(func=_cmd_reference)
 
@@ -474,8 +489,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("sample", help="microcanonical MCMC over finite graphs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _required(p, "sample", "--n", type=int)
+    _required(p, "sample", "--out-dir", dest="out_dir")
     _opt(p, "sample", "--model", default="edge-triangle")
     _opt(p, "sample", "--eps", type=float)
     _opt(p, "sample", "--tau", type=float)
@@ -489,7 +504,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("enumerate", help="exact count of constrained graphs")
-    p.add_argument("--n", type=int, required=True)
+    _required(p, "enumerate", "--n", type=int)
     _opt(p, "enumerate", "--model", default="edge-triangle")
     _opt(p, "enumerate", "--eps", type=float)
     _opt(p, "enumerate", "--tau", type=float)
@@ -504,7 +519,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("perm-density", help="pattern density in a permutation or permuton")
     _opt(p, "perm-density", "--perm", help="permutation file (one-line values)")
     _opt(p, "perm-density", "--permuton", help="grid permuton JSON file")
-    p.add_argument("--pattern", required=True, help='e.g. "12", "123", "*2*"')
+    _required(p, "perm-density", "--pattern", help='e.g. "12", "123", "*2*"')
     _opt(p, "perm-density", "--method", default="exact")
     _opt(p, "perm-density", "--samples", type=int, default=200000)
     _common(p, "perm-density")
@@ -518,16 +533,16 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_perm_optimize)
 
     p = subs.add_parser("perm-count", help="exact count of constrained permutations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    _required(p, "perm-count", "--n", type=int)
+    _required(p, "perm-count", "--pattern")
+    _required(p, "perm-count", "--alpha", type=float)
     _opt(p, "perm-count", "--delta", type=float, default=0.1)
     _common(p, "perm-count")
     p.set_defaults(func=_cmd_perm_count)
 
     p = subs.add_parser("cut-distance", help="distances between step graphons")
-    p.add_argument("--a", required=True, help="first graphon JSON")
-    p.add_argument("--b", required=True, help="second graphon JSON")
+    _required(p, "cut-distance", "--a", help="first graphon JSON")
+    _required(p, "cut-distance", "--b", help="second graphon JSON")
     _opt(p, "cut-distance", "--dbar", action="store_true", default=False)
     _opt(p, "cut-distance", "--max-order", dest="max_order", type=int, default=5)
     _common(p, "cut-distance")

@@ -29,6 +29,8 @@ from .graphon import (
 )
 
 M_CAP = 16
+# see constrained_entropy: how close two infeasible closest approaches tie
+_RESIDUAL_TIE_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -609,7 +611,8 @@ def constrained_entropy(
     """m-escalation wrapper: runs maximize_entropy for m = 1, 2, ... until the
     entropy gain stays below escalation_tol for two consecutive sizes, then
     reports the smallest m whose entropy reaches the best value (minimal
-    podality at the optimum)."""
+    podality at the optimum).  With no feasible m it reports the smallest m
+    whose worst residual ties the smallest one."""
     opts = opts or OptimizerOptions()
     results: list[OptimizerResult] = []
     prev_feasible: OptimizerResult | None = None
@@ -629,7 +632,12 @@ def constrained_entropy(
                 break
     feas = [r for r in results if r.feasible]
     if not feas:
-        return min(results, key=lambda r: max(r.residuals))
+        # the smallest m whose closest approach ties the closest: runs on an
+        # infeasible target stop as hopeless before they converge, so worst
+        # residuals within a relative _RESIDUAL_TIE_RTOL say nothing about m
+        worst = [max(r.residuals) for r in results]
+        tie = min(worst) * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
+        return next(r for r, w in zip(results, worst) if w <= tie)
     s_star = max(r.entropy for r in feas)
     for r in feas:
         if r.entropy >= s_star - opts.escalation_tol:

@@ -7,6 +7,13 @@ windows (alpha_j - delta, alpha_j + delta).  Proposals are symmetric and the
 target is an indicator, so acceptance is just window membership, decided on
 exact integer pattern counts so that a state on a window's edge is out.
 Densities use the injective (finite-graph) convention throughout.
+
+The chain draws its proposals in blocks: one generator call with per-element
+bounds (n, n - 1, n, n - 1, ...) consumes the generator as one pair of scalar
+draws per proposal does.  Common neighbours come from a codegree matrix A @ A
+updated in O(n) per accepted toggle, and each proposal is decided on Python
+ints.  A chain therefore retains the samples, acceptance and stalled flag of
+the single-proposal chain with the same seed.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ ENUM_N_CAP = 7
 GENERIC_N_CAP = 30
 # pattern kinds counted in closed form; any other goes to the generic count
 _COUNTED = ("edge", "triangle", "star")
+# proposals drawn per call to the generator in the chain
+_BLOCK = 1024
 
 
 class SamplerInitError(RuntimeError):
@@ -117,12 +126,15 @@ class _DensityTracker:
     density is its count over `denoms`, and window membership is decided on
     the counts against the exact integer `windows`.
 
-    Edge, triangle, and k-star counts are maintained incrementally; any other
-    pattern forces a full recount per proposal and is only allowed at small n.
+    Edge, triangle, and k-star counts are maintained incrementally from the
+    degrees and the codegree matrix `codeg` = A @ A, whose (u, v) entry is the
+    number of common neighbours of u and v; any other pattern forces a full
+    recount per proposal and is only allowed at small n.
     """
 
     def __init__(self, adj: np.ndarray, constraints: ConstraintVector):
-        self.adj = adj
+        # int64 like the codegree matrix, so a row update does not convert
+        self.adj = adj = adj.astype(np.int64)
         self.n = adj.shape[0]
         self.kinds: list[tuple[str, int]] = []
         for pat in constraints.patterns:
@@ -141,18 +153,43 @@ class _DensityTracker:
             _count_window(t, constraints.delta, d)
             for (_, t), d in zip(constraints.terms, self.denoms)
         ]
+        self.codeg = adj @ adj
         self.edge_count = int(adj.sum()) // 2
-        self.degrees = adj.sum(axis=1).astype(np.int64)
-        a64 = adj.astype(np.int64)
-        self.triangle_count = int(np.trace(a64 @ a64 @ a64)) // 6
+        self.degrees = adj.sum(axis=1).tolist()
+        self.triangle_count = int((self.codeg * adj).sum()) // 6
         self.star_arities = sorted({k for kind, k in self.kinds if kind == "star"})
         self.star_sums = {
-            r: int(sum(_falling(int(d), r) for d in self.degrees))
-            for r in self.star_arities
+            r: sum(_falling(d, r) for d in self.degrees) for r in self.star_arities
         }
+        # each kind's window, intersected over repeats of a pattern, for
+        # try_toggle; `inside` reads `windows` in constraint order
+        merged: dict[tuple[str, int], tuple[int, int]] = {}
+        for key, (lo, hi) in zip(self.kinds, self.windows):
+            lo0, hi0 = merged.get(key, (lo, hi))
+            merged[key] = (max(lo, lo0), min(hi, hi0))
+        self._edge_window = merged.get(("edge", 0))
+        self._triangle_window = merged.get(("triangle", 0))
+        self._star_windows = [(r, *merged["star", r]) for r in self.star_arities]
+        self._generic_windows = [
+            (p, *w) for p, (kind, _), w in zip(self.patterns, self.kinds, self.windows)
+            if kind == "generic"
+        ]
 
     def _generic_count(self, adj: np.ndarray, pattern: SubgraphPattern) -> int:
         return int(finite_density(FiniteGraph(adj), pattern) * _falling(self.n, pattern.k))
+
+    def _star_sum_after(self, r: int, du: int, dv: int, sign: int) -> int:
+        """The r-star count once the endpoint degrees du, dv move by sign."""
+        return (
+            self.star_sums[r]
+            + _falling(du + sign, r) - _falling(du, r)
+            + _falling(dv + sign, r) - _falling(dv, r)
+        )
+
+    def _toggled_adj(self, u: int, v: int) -> np.ndarray:
+        adj = self.adj.copy()
+        adj[u, v] = adj[v, u] = 1 - adj[u, v]
+        return adj
 
     def counts(self) -> list[int]:
         out = []
@@ -169,8 +206,9 @@ class _DensityTracker:
 
     def toggled_counts(self, u: int, v: int) -> list[int]:
         """Counts after toggling edge (u, v), without mutating state."""
-        sign = -1 if self.adj[u, v] else 1
-        common = int(self.adj[u] @ self.adj[v])
+        sign = 1 - 2 * self.adj.item(u, v)
+        common = self.codeg.item(u, v)
+        du, dv = self.degrees[u], self.degrees[v]
         out = []
         generic_adj = None
         for j, (kind, r) in enumerate(self.kinds):
@@ -179,17 +217,39 @@ class _DensityTracker:
             elif kind == "triangle":
                 out.append(self.triangle_count + sign * common)
             elif kind == "star":
-                du, dv = int(self.degrees[u]), int(self.degrees[v])
-                s = self.star_sums[r]
-                s += _falling(du + sign, r) - _falling(du, r)
-                s += _falling(dv + sign, r) - _falling(dv, r)
-                out.append(s)
+                out.append(self._star_sum_after(r, du, dv, sign))
             else:
                 if generic_adj is None:
-                    generic_adj = self.adj.copy()
-                    generic_adj[u, v] = generic_adj[v, u] = 1 - generic_adj[u, v]
+                    generic_adj = self._toggled_adj(u, v)
                 out.append(self._generic_count(generic_adj, self.patterns[j]))
         return out
+
+    def try_toggle(self, u: int, v: int) -> bool:
+        """Toggle edge (u, v) if every count stays inside its window, and say
+        whether it did.  The same decision as `inside(toggled_counts(u, v))`,
+        made on Python ints with no NumPy call unless a generic pattern needs
+        its recount."""
+        sign = 1 - 2 * self.adj.item(u, v)
+        window = self._edge_window
+        if window is not None and not window[0] <= self.edge_count + sign <= window[1]:
+            return False
+        window = self._triangle_window
+        if window is not None and not (
+            window[0] <= self.triangle_count + sign * self.codeg.item(u, v) <= window[1]
+        ):
+            return False
+        if self._star_windows:
+            du, dv = self.degrees[u], self.degrees[v]
+            for r, lo, hi in self._star_windows:
+                if not lo <= self._star_sum_after(r, du, dv, sign) <= hi:
+                    return False
+        if self._generic_windows:
+            adj = self._toggled_adj(u, v)
+            for pattern, lo, hi in self._generic_windows:
+                if not lo <= self._generic_count(adj, pattern) <= hi:
+                    return False
+        self.apply_toggle(u, v)
+        return True
 
     def inside(self, counts: list[int]) -> bool:
         """Whether counts lie strictly inside every open density window."""
@@ -206,17 +266,30 @@ class _DensityTracker:
         return self._as_densities(self.toggled_counts(u, v))
 
     def apply_toggle(self, u: int, v: int) -> None:
-        sign = -1 if self.adj[u, v] else 1
-        common = int(self.adj[u] @ self.adj[v])
-        du, dv = int(self.degrees[u]), int(self.degrees[v])
+        """Toggle edge (u, v) and update the counts in O(n): with s = +1 for an
+        added edge and -1 for a removed one, rows u and v of A @ A change by
+        s A[v] and s A[u] (A before the toggle), columns u and v mirror them,
+        and the diagonal holds the new degrees."""
+        adj, codeg = self.adj, self.codeg
+        sign = 1 - 2 * adj.item(u, v)
+        du, dv = self.degrees[u], self.degrees[v]
         for r in self.star_arities:
-            self.star_sums[r] += _falling(du + sign, r) - _falling(du, r)
-            self.star_sums[r] += _falling(dv + sign, r) - _falling(dv, r)
+            self.star_sums[r] = self._star_sum_after(r, du, dv, sign)
         self.edge_count += sign
-        self.triangle_count += sign * common
-        self.degrees[u] += sign
-        self.degrees[v] += sign
-        self.adj[u, v] = self.adj[v, u] = 1 - self.adj[u, v]
+        self.triangle_count += sign * codeg.item(u, v)
+        self.degrees[u] = du + sign
+        self.degrees[v] = dv + sign
+        if sign > 0:
+            codeg[u] += adj[v]
+            codeg[v] += adj[u]
+        else:
+            codeg[u] -= adj[v]
+            codeg[v] -= adj[u]
+        codeg[:, u] = codeg[u]
+        codeg[:, v] = codeg[v]
+        codeg[u, u] = du + sign
+        codeg[v, v] = dv + sign
+        adj[u, v] = adj[v, u] = 1 - adj[u, v]
 
 
 def _initial_graphon(constraints: ConstraintVector) -> StepGraphon:
@@ -289,33 +362,35 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
 
     sweep = n * (n - 1) // 2
     total = cfg.burn_in_steps + cfg.interval_steps * cfg.n_samples
+    # per-element bounds draw exactly what alternating rng.integers(n) and
+    # rng.integers(n - 1) calls draw, one proposal (u, v) per pair
+    bounds = np.tile([n, n - 1], _BLOCK)
     graphs: list[FiniteGraph] = []
     rows: list[np.ndarray] = []
+    try_toggle = tracker.try_toggle
     accepted = 0
-    since_accept = 0
+    last_accept = 0  # step of the last accepted toggle; rejections since set stalled
     stalled = False
     next_sample = cfg.burn_in_steps
-    for step in range(1, total + 1):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n - 1))
-        if v >= u:
-            v += 1
-        if tracker.inside(tracker.toggled_counts(u, v)):
-            tracker.apply_toggle(u, v)
-            accepted += 1
-            since_accept = 0
-        else:
-            since_accept += 1
-            if since_accept >= sweep and not stalled:
-                stalled = True
-                logger.warning(
-                    "chain stalled: no accepted toggle in a full sweep (%d proposals)",
-                    sweep,
-                )
-        if step >= next_sample and len(graphs) < cfg.n_samples:
-            graphs.append(FiniteGraph(tracker.adj.copy()))
-            rows.append(tracker.densities())
-            next_sample += cfg.interval_steps
+    for start in range(0, total, _BLOCK):
+        k = min(_BLOCK, total - start)
+        draws = iter(rng.integers(bounds[: 2 * k]).tolist())
+        for step, u, v in zip(range(start + 1, start + k + 1), draws, draws):
+            if v >= u:
+                v += 1
+            if try_toggle(u, v):
+                accepted += 1
+                stalled = stalled or step - 1 - last_accept >= sweep
+                last_accept = step
+            if step >= next_sample and len(graphs) < cfg.n_samples:
+                graphs.append(FiniteGraph(tracker.adj))
+                rows.append(tracker.densities())
+                next_sample += cfg.interval_steps
+    stalled = stalled or total - last_accept >= sweep
+    if stalled:
+        logger.warning(
+            "chain stalled: no accepted toggle in a full sweep (%d proposals)", sweep
+        )
     return SampleRun(
         graphs=graphs,
         densities=np.array(rows),

@@ -206,6 +206,47 @@ def test_sample_output_does_not_depend_on_threads(tmp_path, capsys):
         assert (dirs["1"] / name).read_bytes() == (dirs["2"] / name).read_bytes()
 
 
+def test_sample_manifest_replays_through_config_alone(tmp_path, capsys):
+    # --n and --out-dir come from the manifest; argparse used to reject the
+    # call before the manifest was read
+    first = tmp_path / "first"
+    assert run(tmp_path, "sample", "--n", "12", "--eps", "0.5", "--tau", "0.125",
+               "--delta", "0.05", "--samples", "2", "--burn-in", "200",
+               "--interval", "100", "--chains", "2", "--out-dir", str(first)) == 0
+    names = sorted(f for f in os.listdir(first) if f != "manifest.json")
+    assert "samples.csv" in names and len(names) == 5
+    written = {name: (first / name).read_bytes() for name in names}
+    manifest = tmp_path / "sample-manifest.json"
+    manifest.write_bytes((first / "manifest.json").read_bytes())
+    for name in names:
+        (first / name).unlink()
+    assert run(tmp_path, "sample", "--config", str(manifest)) == 0
+    again = tmp_path / "again"
+    assert run(tmp_path, "sample", "--config", str(manifest), "--out-dir", str(again)) == 0
+    for out_dir in (first, again):
+        assert sorted(f for f in os.listdir(out_dir) if f != "manifest.json") == names
+        for name in names:
+            assert (out_dir / name).read_bytes() == written[name]
+
+
+def test_reference_manifest_replays_through_config_alone(tmp_path, capsys):
+    out = tmp_path / "ref.json"
+    assert run(tmp_path, "reference", "--eps", "0.5", "--tau", "0.1", "--out", str(out)) == 0
+    first = out.read_bytes()
+    out.unlink()
+    assert run(tmp_path, "reference", "--config", str(tmp_path / "ref.json.manifest.json")) == 0
+    assert out.read_bytes() == first
+
+
+def test_missing_required_options_are_named(tmp_path, capsys):
+    assert run(tmp_path, "sample", "--eps", "0.5", "--tau", "0.125") == 1
+    err = capsys.readouterr().err
+    assert "required" in err and "--n" in err and "--out-dir" in err
+    assert run(tmp_path, "reference", "--eps", "0.5") == 1
+    err = capsys.readouterr().err
+    assert "--tau" in err and "--eps" not in err
+
+
 def test_scan_defaults_warm_start_from_both_neighbours(tmp_path, monkeypatch, capsys):
     # at the CLI defaults (no --threads), every cell past the first row and
     # column is seeded from its left and its lower neighbour

@@ -169,6 +169,17 @@ class TestConstrainedEntropy:
         )
         assert not res.feasible
 
+    def test_infeasible_target_reports_smallest_tying_podality(self):
+        # above the clique curve tau = eps^1.5, m = 2, 3, 4 and 6 reach worst
+        # residual 0.020931418 and m = 5 reaches 0.020931312, with a 5-podal
+        # graphon; that 1e-7 difference must not set the reported podality
+        res = constrained_entropy(
+            ConstraintVector.edge_triangle(0.3, 0.2), OptimizerOptions(n_starts=8, m_max=6)
+        )
+        assert not res.feasible
+        assert res.podality == 2
+        assert max(res.residuals) == pytest.approx(0.0209314, abs=1e-6)
+
 
 class TestBoundedSignedMax:
     def test_staircase_values(self):

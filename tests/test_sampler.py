@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
+from phases import sampler
 from phases.graphon import ConstraintVector, FiniteGraph, SubgraphPattern, finite_density
 from phases.optimizer import reference_construction
 from phases.sampler import (
     ChainConfig,
     SamplerInitError,
-    _DensityTracker,
     _count_denominator,
     _count_window,
+    _DensityTracker,
+    _initial_graphon,
     _sample_from_graphon,
+    _violation,
     enumerate_Z,
     estimate_block_structure,
     sample_constrained,
@@ -23,6 +28,86 @@ TRI = SubgraphPattern.triangle()
 
 def edge_only(target, delta):
     return ConstraintVector(((EDGE, target),), delta)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# each example runs two chains; shrinking a failure would rerun them for minutes
+CHAINS = settings(
+    max_examples=30, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+CHAIN_PATTERNS = {
+    "edge-triangle": (EDGE, TRI),
+    "edge-2star": (EDGE, SubgraphPattern.star(2)),
+    "3star": (SubgraphPattern.star(3),),
+    "edge-4cycle": (EDGE, SubgraphPattern.cycle(4)),  # generic: recounted
+    "edge-edge-triangle": (EDGE, EDGE, TRI),  # a repeat: both windows hold
+}
+
+
+def random_graph(n, p, rng):
+    adj = np.triu((rng.random((n, n)) < p).astype(np.int32), 1)
+    return adj + adj.T
+
+
+def single_proposal_chain(cfg):
+    """The reference chain: two scalar draws per proposal, and each proposal
+    decided on an exact recount of the toggled graph."""
+    n, cons = cfg.n, cfg.constraints
+    denoms = [_count_denominator(p, n) for p in cons.patterns]
+    windows = [_count_window(t, cons.delta, d) for (_, t), d in zip(cons.terms, denoms)]
+
+    def counts(adj):
+        g = FiniteGraph(adj)
+        return [int(finite_density(g, p) * d) for p, d in zip(cons.patterns, denoms)]
+
+    def densities(adj):
+        return np.array([c / d for c, d in zip(counts(adj), denoms)])
+
+    def inside(adj):
+        return all(lo <= c <= hi for c, (lo, hi) in zip(counts(adj), windows))
+
+    def toggled(adj, u, v):
+        out = adj.copy()
+        out[u, v] = out[v, u] = 1 - out[u, v]
+        return out
+
+    def propose():
+        u = int(rng.integers(n))
+        v = int(rng.integers(n - 1))
+        return u, v + (v >= u)
+
+    rng = np.random.default_rng(cfg.seed)
+    adj = _sample_from_graphon(_initial_graphon(cons), n, rng)
+    score = _violation(densities(adj), cons.targets, cons.delta)
+    budget = 40 * n * n
+    while score > 0.0 and budget > 0:
+        budget -= 1
+        cand_adj = toggled(adj, *propose())
+        cand = _violation(densities(cand_adj), cons.targets, cons.delta)
+        if cand < score - 1e-15:
+            adj, score = cand_adj, cand
+    if not inside(adj):
+        raise SamplerInitError("repair failed")
+    total = cfg.burn_in_steps + cfg.interval_steps * cfg.n_samples
+    graphs, rows = [], []
+    accepted = since_accept = 0
+    stalled = False
+    next_sample = cfg.burn_in_steps
+    for step in range(1, total + 1):
+        cand_adj = toggled(adj, *propose())
+        if inside(cand_adj):
+            adj = cand_adj
+            accepted += 1
+            since_accept = 0
+        else:
+            since_accept += 1
+            stalled = stalled or since_accept >= n * (n - 1) // 2
+        if step >= next_sample and len(graphs) < cfg.n_samples:
+            graphs.append(adj.copy())
+            rows.append(densities(adj))
+            next_sample += cfg.interval_steps
+    return graphs, np.array(rows), accepted / total, stalled
 
 
 class TestChainConfig:
@@ -153,6 +238,118 @@ class TestSampleConstrained:
         tracker = _DensityTracker(adj[:5, :5], ConstraintVector(
             ((SubgraphPattern.signed_two_star(), 0.1),), 0.05))
         assert tracker.kinds == [("generic", 0)]
+
+
+class TestBlockChain:
+    """The chain draws proposals in blocks and reads common neighbours from a
+    codegree matrix; it must be the single-proposal chain, sample for sample."""
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 300),
+        pairs=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=150, pairs=1024, seed=109307645)
+    @example(n=200, pairs=1024, seed=5)
+    def test_block_draws_equal_alternating_scalar_draws(self, n, pairs, seed):
+        # if a NumPy release changes how per-element bounds consume the
+        # generator, chains would silently change; this fails instead
+        block_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = block_rng.integers(np.tile([n, n - 1], pairs)).tolist()
+        scalar = []
+        for _ in range(pairs):
+            scalar += [int(scalar_rng.integers(n)), int(scalar_rng.integers(n - 1))]
+        assert block == scalar
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @PROPERTY
+    @given(
+        n=st.integers(4, 30),
+        p=st.floats(0.0, 1.0),
+        toggles=st.integers(0, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_codegree_matrix_tracks_toggles(self, n, p, toggles, seed):
+        rng = np.random.default_rng(seed)
+        cons = ConstraintVector(
+            ((EDGE, 0.5), (TRI, 0.1), (SubgraphPattern.star(2), 0.2),
+             (SubgraphPattern.star(3), 0.1)), 0.05,
+        )
+        tracker = _DensityTracker(random_graph(n, p, rng), cons)
+        for _ in range(toggles):
+            u, v = rng.choice(n, 2, replace=False).tolist()
+            if rng.random() < 0.5:
+                tracker.apply_toggle(u, v)
+            else:
+                accepted = tracker.inside(tracker.toggled_counts(u, v))
+                assert tracker.try_toggle(u, v) == accepted
+        adj = tracker.adj
+        assert np.array_equal(tracker.codeg, adj @ adj)
+        assert tracker.degrees == adj.sum(axis=1).tolist()
+        assert tracker.counts() == _DensityTracker(adj.copy(), cons).counts()
+
+    @CHAINS
+    @given(
+        name=st.sampled_from(sorted(CHAIN_PATTERNS)),
+        n=st.integers(4, 14),
+        p=st.floats(0.15, 0.85),
+        delta=st.sampled_from([0.05, 0.1, 0.2]),
+        burn_in=st.integers(1, 1500),
+        interval=st.integers(0, 200),
+        n_samples=st.integers(1, 4),
+        block=st.sampled_from([1, 3, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # runs of exactly n (n - 1) / 2 rejections, the shortest that set
+    # stalled, between two accepted toggles and at the end of the chain;
+    # then longest runs one shorter, between accepts and at the end, which
+    # must not; last, a 4-cycle window that rejects some toggles
+    @example(name="3star", n=5, p=0.3688549474916448, delta=0.05, burn_in=26,
+             interval=46, n_samples=2, block=3, seed=2988995438)
+    @example(name="edge-triangle", n=6, p=0.6765504518087084, delta=0.1, burn_in=186,
+             interval=17, n_samples=1, block=1024, seed=3671383834)
+    @example(name="edge-2star", n=6, p=0.8412075399014011, delta=0.2, burn_in=115,
+             interval=46, n_samples=2, block=1, seed=2589468592)
+    @example(name="3star", n=7, p=0.5515503324461193, delta=0.05, burn_in=167,
+             interval=26, n_samples=1, block=1024, seed=1680050045)
+    @example(name="edge-triangle", n=6, p=0.18518266595556743, delta=0.1, burn_in=13,
+             interval=10, n_samples=1, block=1024, seed=3162550556)
+    @example(name="edge-4cycle", n=7, p=0.7614874117773833, delta=0.2, burn_in=8,
+             interval=100, n_samples=4, block=1024, seed=564533598)
+    def test_chain_equals_single_proposal_chain(
+        self, name, n, p, delta, burn_in, interval, n_samples, block, seed
+    ):
+        patterns = CHAIN_PATTERNS[name]
+        if name == "edge-4cycle":  # its recount is slow; keep the chain short
+            n, burn_in = min(n, 8), burn_in // 10 + 1
+        # targets at the densities of a random graph, so the windows hold
+        # one; a repeated pattern's window is shifted by half its width
+        g = FiniteGraph(random_graph(n, p, np.random.default_rng(seed)))
+        terms = []
+        for pat in patterns:
+            shift = delta / 2 if pat in [q for q, _ in terms] else 0.0
+            terms.append((pat, min(1.0, float(finite_density(g, pat)) + shift)))
+        cons = ConstraintVector(tuple(terms), delta)
+        cfg = ChainConfig(
+            n=n, constraints=cons, seed=seed, burn_in=burn_in,
+            sample_interval=interval, n_samples=n_samples,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_BLOCK", block)
+            try:
+                graphs, rows, acceptance, stalled = single_proposal_chain(cfg)
+            except SamplerInitError:
+                with pytest.raises(SamplerInitError):
+                    sample_constrained(cfg)
+                return
+            run = sample_constrained(cfg)
+        assert len(run.graphs) == len(graphs)
+        for got, want in zip(run.graphs, graphs):
+            assert np.array_equal(got.adjacency, want)
+        assert np.array_equal(run.densities, rows)
+        assert run.acceptance_rate == acceptance
+        assert run.stalled == stalled
 
 
 class TestBlockEstimation:
