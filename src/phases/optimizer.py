@@ -5,9 +5,17 @@ subject to pattern-density constraints, by augmented-Lagrangian projected
 gradient ascent with analytic gradients and deterministic multistart.
 Block values are kept strictly inside (0,1) during ascent because the
 entropy gradient diverges at the endpoints; masses are optimized as
-normalized positive variables so they stay exactly on the simplex.  All
-starts of one m are solved as one NumPy batch (`_multistart`), in which each
-start takes the same steps, bit for bit, as it would alone.
+normalized positive variables so they stay exactly on the simplex.
+
+One AL driver (`_multistart`, `_ascend`, `_backtrack`) solves every start of
+one problem as one NumPy batch of flat parameter rows theta, in which each
+start takes the same steps, bit for bit, as it would alone.  It owns the
+rules both problems share: multipliers and penalty schedule,
+Barzilai-Borwein steps, Armijo backtracking, the stationarity, stall and
+hopeless-start stops and the best-pick.  A geometry object supplies the
+rest: `_GraphonGeometry` here (theta = masses and upper-triangle values,
+feasible rows polished), and `phases.permuton._PermutonGeometry` (theta =
+log of a grid permuton, Sinkhorn projection onto uniform marginals).
 """
 
 from __future__ import annotations
@@ -256,83 +264,181 @@ def _sym_from_triu(u: np.ndarray, m: int) -> np.ndarray:
     return np.take(u, _triu(m)[1], axis=-1)
 
 
-def _gaps(evals, targets, c, p) -> np.ndarray:
-    """Constraint residuals t_j(c, p) - alpha_j, per row of a batch."""
-    g = np.empty((len(c), len(evals)))
-    for j, ev in enumerate(evals):
-        g[:, j] = ev.value(c, p) - targets[j]
-    return g
-
-
 def _al(obj, g, lam, rho):
     """AL objective obj - lam . g - rho |g|^2 / 2, per row."""
     return obj - _dot(lam, g) - 0.5 * rho * _dot(g, g)
 
 
-def _al_grads(objective, evals, targets, lam, rho, c, p):
-    obj, dv, dc = objective.value_and_grads(c, p)
-    g = np.empty((len(c), len(evals)))
-    for j, ev in enumerate(evals):
-        t, dvj, dcj = ev.value_and_grads(c, p)
-        g[:, j] = t - targets[j]
-        coef = lam[:, j] + rho * g[:, j]
-        dv = dv - coef[:, None, None] * dvj
-        dc = dc - coef[:, None] * dcj
-    return _al(obj, g, lam, rho), g, dv, dc, obj
+class _GraphonGeometry:
+    """m-block step graphons for the AL driver: theta = (masses, upper-triangle
+    values), a point is (c, p).
+
+    The driver sees a problem only through such a geometry: `start` and
+    `point` map batches of points to theta and back, `measure` gives the
+    objective and constraint gaps of a batch of points, `project` moves rows
+    of theta back into the domain, `grads` gives the AL value and its ascent
+    direction, `gain` the first-order gain of a step that the Armijo test asks
+    a share of, and `finish` yields each final row as (point, objective,
+    gaps).  `steps` holds the first trial step of a round and the largest
+    Barzilai-Borwein step, in the units of theta.  phases.permuton defines the
+    other geometry."""
+
+    keys = ("c", "p")
+    steps = (0.05, 1e3)
+
+    def __init__(self, objective, evals, targets, m, opts):
+        self.objective, self.evals, self.targets, self.m, self.opts = (
+            objective, evals, targets, m, opts)
+
+    def start(self, c, p):
+        (iu0, iu1), _ = _triu(self.m)
+        floor = self.opts.value_floor
+        return np.concatenate([c, np.clip(p[:, iu0, iu1], floor, 1.0 - floor)], axis=1)
+
+    def point(self, theta):
+        return theta[:, : self.m], _sym_from_triu(theta[:, self.m :], self.m)
+
+    def measure(self, c, p):
+        g = np.empty((len(c), len(self.evals)))
+        for j, ev in enumerate(self.evals):
+            g[:, j] = ev.value(c, p) - self.targets[j]
+        return self.objective.value(c, p), g
+
+    def project(self, theta):
+        """Masses floored and renormalized, values kept inside (0,1)."""
+        m, opts = self.m, self.opts
+        w = np.maximum(theta[:, :m], opts.mass_floor)
+        u = np.minimum(np.maximum(theta[:, m:], opts.value_floor), 1.0 - opts.value_floor)
+        return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
+
+    def grads(self, theta, lam, rho):
+        """(AL value, gaps, AL gradient in theta, objective) per row."""
+        c, p = self.point(theta)
+        obj, dv, dc = self.objective.value_and_grads(c, p)
+        g = np.empty((len(c), len(self.evals)))
+        for j, ev in enumerate(self.evals):
+            t, dvj, dcj = ev.value_and_grads(c, p)
+            g[:, j] = t - self.targets[j]
+            coef = lam[:, j] + rho * g[:, j]
+            dv = dv - coef[:, None, None] * dvj
+            dc = dc - coef[:, None] * dcj
+        (iu0, iu1), _ = _triu(self.m)
+        grad = np.concatenate([mass_chain_rule(c, dc), dv[:, iu0, iu1]], axis=1)
+        return _al(obj, g, lam, rho), g, grad, obj
+
+    def gain(self, grad, theta_0, theta):
+        step, m = theta - theta_0, self.m
+        return _dot(grad[:, m:], step[:, m:]) + _dot(grad[:, :m], step[:, :m])
+
+    def finish(self, theta, g, obj):
+        """Feasible rows are polished one by one."""
+        for i in range(len(theta)):
+            if np.abs(g[i]).max(initial=0.0) < self.opts.feasibility_tol:
+                yield self.polish(theta[i : i + 1])
+            else:
+                yield tuple(a[0] for a in self.point(theta[i : i + 1])), obj[i], g[i]
+
+    def polish(self, theta, max_iter=200):
+        """Tangent-space ascent with Gauss-Newton feasibility restoration.
+
+        Sharpens a feasible AL solution, one row theta (1, m + T): steps along
+        the objective gradient projected onto the tangent space of the
+        constraint manifold, restoring t(q) = alpha after each step.  First-order
+        AL alone crawls along the manifold; this recovers the last digits.
+        Returns (point, objective, gaps)."""
+        (iu0, iu1), _ = _triu(self.m)
+        evals, opts = self.evals, self.opts
+        ridge = 1e-14 * np.eye(len(evals))
+
+        def split(theta):
+            c, p = self.point(theta)
+            return c[0], p[0]
+
+        def constraints_at(theta):
+            cv, pv = split(theta)
+            g, jac = np.empty(len(evals)), np.empty((len(evals), theta.shape[1]))
+            for j, ev in enumerate(evals):
+                t, dvj, dcj = ev.value_and_grads(cv, pv)
+                g[j] = t - self.targets[j]
+                jac[j] = np.concatenate([mass_chain_rule(cv, dcj), dvj[iu0, iu1]])
+            return g, jac
+
+        def restore(theta):
+            for _ in range(20):
+                g, jac = constraints_at(theta)
+                if np.abs(g).max(initial=0.0) < 0.1 * opts.feasibility_tol:
+                    return theta, True
+                try:
+                    lam = np.linalg.solve(jac @ jac.T + ridge, g)
+                except np.linalg.LinAlgError:
+                    return theta, False
+                theta = self.project(theta - jac.T @ lam)
+            g, _ = constraints_at(theta)
+            return theta, bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol)
+
+        theta, ok = restore(theta)
+        cv, pv = split(theta)
+        obj = self.objective.value(cv, pv)
+        step = 0.05
+        for _ in range(max_iter if ok else 0):
+            _, dv, dc = self.objective.value_and_grads(cv, pv)
+            grad = np.concatenate([mass_chain_rule(cv, dc), dv[iu0, iu1]])
+            _, jac = constraints_at(theta)
+            tang = grad - jac.T @ np.linalg.solve(jac @ jac.T + ridge, jac @ grad)
+            if np.abs(tang).max(initial=0.0) < 1e-12:
+                break
+            improved = False
+            for _bt in range(30):
+                trial, feasible = restore(self.project(theta + step * tang))
+                if feasible:
+                    c_n, p_n = split(trial)
+                    obj_n = self.objective.value(c_n, p_n)
+                    if obj_n > obj + 1e-16:
+                        theta, cv, pv, obj = trial, c_n, p_n, obj_n
+                        improved = True
+                        step = min(step * 1.6, 10.0)
+                        break
+                step /= 2.0
+                if step < 1e-12:
+                    break
+            if not improved:
+                break
+        return (cv, pv), obj, constraints_at(theta)[0]
 
 
-def _project(theta, m, opts):
-    """Rows of theta = (masses, upper-triangle values) moved back into the
-    domain: masses floored and renormalized, values kept inside (0,1)."""
-    w = np.maximum(theta[:, :m], opts.mass_floor)
-    u = np.minimum(np.maximum(theta[:, m:], opts.value_floor), 1.0 - opts.value_floor)
-    return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
-
-
-def _ascend(c, p, lam, rho, objective, evals, targets, opts):
-    """Maximize the AL objective from each row of (c, p); returns (c, p, g, obj).
+def _ascend(geo, theta, lam, rho, opts):
+    """Maximize the AL objective from each row of theta; returns (theta, g, obj).
 
     Each row has its own Barzilai-Borwein step, Armijo backtracking and
     stationarity, stall and failed-step stops, and leaves the batch when it
     stops."""
-    n, m = c.shape
-    (iu0, iu1), _ = _triu(m)
-    out = (np.empty_like(c), np.empty((n, m, m)), np.empty((n, len(evals))), np.empty(n))
-
-    def grad_of(theta, dv, dc):
-        return np.concatenate([mass_chain_rule(theta[:, :m], dc), dv[:, iu0, iu1]], axis=1)
+    n = len(theta)
+    out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
 
     def stationary(theta, grad):  # projected-gradient probe
-        return np.abs(_project(theta + grad, m, opts) - theta).max(axis=1) < opts.gtol
+        return np.abs(geo.project(theta + grad) - theta).max(axis=1) < opts.gtol
 
     rows = np.arange(n)
-    u = np.clip(p[:, iu0, iu1], opts.value_floor, 1.0 - opts.value_floor)
-    theta = np.concatenate([c, u], axis=1)
-    pv = _sym_from_triu(theta[:, m:], m)
-    f, g, dv, dc, obj = _al_grads(objective, evals, targets, lam, rho, theta[:, :m], pv)
-    grad = grad_of(theta, dv, dc)
-    eta = np.full(n, 0.05)
+    f, g, grad, obj = geo.grads(theta, lam, rho)
+    eta = np.full(n, geo.steps[0])
     stall = np.zeros(n, dtype=int)
     stop = stationary(theta, grad)
     for it in range(opts.max_inner + 1):
         stop |= it == opts.max_inner
         if stop.any():
-            for dst, src in zip(out, (theta[:, :m], pv, g, obj)):
+            for dst, src in zip(out, (theta, g, obj)):
                 dst[rows[stop]] = src[stop]
             keep = ~stop
-            rows, lam, rho, theta, grad, pv, f, g, obj, eta, stall = (
-                a[keep] for a in (rows, lam, rho, theta, grad, pv, f, g, obj, eta, stall)
+            rows, lam, rho, theta, grad, f, g, obj, eta, stall = (
+                a[keep] for a in (rows, lam, rho, theta, grad, f, g, obj, eta, stall)
             )
             if not rows.size:
                 break
-        ok, theta_n, p_n, f_n = _backtrack(
-            theta, grad, pv, f, eta, lam, rho, objective, evals, targets, opts
-        )
+        ok, theta_n, f_n = _backtrack(geo, theta, grad, f, eta, lam, rho)
         delta_f = f_n - f
         theta_0, grad_0 = theta, grad
-        theta, pv = theta_n, p_n
-        f, g, dv, dc, obj = _al_grads(objective, evals, targets, lam, rho, theta[:, :m], pv)
-        grad = grad_of(theta, dv, dc)
+        theta = theta_n
+        f, g, grad, obj = geo.grads(theta, lam, rho)
         flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
         stall = np.where(flat, stall + 1, 0)
         stop = ~ok | (stall >= 3) | stationary(theta, grad)
@@ -341,19 +447,19 @@ def _ascend(c, p, lam, rho, objective, evals, targets, opts):
         denom = -_dot(dth, dgr)
         bb = denom > 1e-18
         eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
-        eta = np.minimum(np.maximum(eta, 1e-10), 1e3)
+        eta = np.minimum(np.maximum(eta, 1e-10), geo.steps[1])
     return out
 
 
-def _backtrack(theta, grad, pv, f, eta, lam, rho, objective, evals, targets, opts):
+def _backtrack(geo, theta, grad, f, eta, lam, rho):
     """Armijo backtracking from each row along its gradient.
 
     Trial j steps by eta / 2^j, for j < 60 while that is at least 1e-14; the
     first trial passing the Armijo test is taken.  Trials are independent, so
     each round tries a block of them per searching row as extra batch rows.
-    Returns (accepted, theta, p, f) per row (the current point where no trial
+    Returns (accepted, theta, f) per row (the current point where no trial
     passed) and sets eta to each accepted step."""
-    n, m = pv.shape[:2]
+    n = len(theta)
     rows = np.arange(n)  # rows still searching
     first = 0
     for size in (1, 8, 16, 35):  # trials per searching row and round, 60 in all
@@ -362,145 +468,83 @@ def _backtrack(theta, grad, pv, f, eta, lam, rho, objective, evals, targets, opt
         valid = (steps >= 1e-14) | (j == 0)
         src = np.repeat(rows, size)
         th0, g0 = theta[src], grad[src]
-        th = _project(th0 + steps.reshape(-1, 1) * g0, m, opts)
-        pt = _sym_from_triu(th[:, m:], m)
-        gt = _gaps(evals, targets, th[:, :m], pt)
-        ft = _al(objective.value(th[:, :m], pt), gt, lam[src], rho[src])
-        step = th - th0
-        gain = _dot(g0[:, m:], step[:, m:]) + _dot(g0[:, :m], step[:, :m])
+        th = geo.project(th0 + steps.reshape(-1, 1) * g0)
+        obj, gt = geo.measure(*geo.point(th))
+        ft = _al(obj, gt, lam[src], rho[src])
+        gain = geo.gain(g0, th0, th)
         hit = (ft + 1e-18 >= f[src] + 1e-4 * np.maximum(gain, 0.0)).reshape(-1, size) & valid
         found = hit.any(axis=1)
         if first == 0:
             if found.all():
-                return found, th, pt, ft
+                return found, th, ft
             ok = np.zeros(n, dtype=bool)
-            theta_n, p_n, f_n = theta.copy(), pv.copy(), f.copy()
+            theta_n, f_n = theta.copy(), f.copy()
         k = hit.argmax(axis=1)[found]
         take = np.flatnonzero(found) * size + k
         done = rows[found]
         ok[done] = True
-        theta_n[done], p_n[done], f_n[done] = th[take], pt[take], ft[take]
+        theta_n[done], f_n[done] = th[take], ft[take]
         eta[done] = steps[found, k]
         rows = rows[~found & valid[:, -1]]
         first += size
         if not rows.size:
             break
-    return ok, theta_n, p_n, f_n
+    return ok, theta_n, f_n
 
 
-def _polish(c, p, objective, evals, targets, opts, max_iter=200):
-    """Tangent-space ascent with Gauss-Newton feasibility restoration.
-
-    Sharpens a feasible AL solution: steps along the objective gradient
-    projected onto the tangent space of the constraint manifold, restoring
-    t(q) = alpha after each step.  First-order AL alone crawls along the
-    manifold; this recovers the last digits.  theta is one row (1, m + T)."""
-    m = c.shape[0]
-    (iu0, iu1), _ = _triu(m)
-    ridge = 1e-14 * np.eye(len(evals))
-
-    def split(theta):
-        return theta[0, :m], _sym_from_triu(theta[0, m:], m)
-
-    def constraints_at(theta):
-        cv, pv = split(theta)
-        g, jac = np.empty(len(evals)), np.empty((len(evals), theta.shape[1]))
-        for j, ev in enumerate(evals):
-            t, dvj, dcj = ev.value_and_grads(cv, pv)
-            g[j] = t - targets[j]
-            jac[j] = np.concatenate([mass_chain_rule(cv, dcj), dvj[iu0, iu1]])
-        return g, jac
-
-    def restore(theta):
-        for _ in range(20):
-            g, jac = constraints_at(theta)
-            if np.abs(g).max(initial=0.0) < 0.1 * opts.feasibility_tol:
-                return theta, True
-            try:
-                lam = np.linalg.solve(jac @ jac.T + ridge, g)
-            except np.linalg.LinAlgError:
-                return theta, False
-            theta = _project(theta - jac.T @ lam, m, opts)
-        g, _ = constraints_at(theta)
-        return theta, bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol)
-
-    u = np.clip(p[iu0, iu1], opts.value_floor, 1.0 - opts.value_floor)
-    theta, ok = restore(np.concatenate([c, u])[None])
-    cv, pv = split(theta)
-    obj = objective.value(cv, pv)
-    step = 0.05
-    for _ in range(max_iter if ok else 0):
-        _, dv, dc = objective.value_and_grads(cv, pv)
-        grad = np.concatenate([mass_chain_rule(cv, dc), dv[iu0, iu1]])
-        _, jac = constraints_at(theta)
-        tang = grad - jac.T @ np.linalg.solve(jac @ jac.T + ridge, jac @ grad)
-        if np.abs(tang).max(initial=0.0) < 1e-12:
-            break
-        improved = False
-        for _bt in range(30):
-            trial, feasible = restore(_project(theta + step * tang, m, opts))
-            if feasible:
-                c_n, p_n = split(trial)
-                obj_n = objective.value(c_n, p_n)
-                if obj_n > obj + 1e-16:
-                    theta, cv, pv, obj = trial, c_n, p_n, obj_n
-                    improved = True
-                    step = min(step * 1.6, 10.0)
-                    break
-            step /= 2.0
-            if step < 1e-12:
-                break
-        if not improved:
-            break
-    return cv, pv, constraints_at(theta)[0], obj, ok
+def _stack(points):
+    """Points, each a tuple of arrays, as one tuple of batch arrays."""
+    return tuple(np.array(a, dtype=float) for a in zip(*points))
 
 
-def _record(c, p, objective, gaps, opts) -> dict:
+def _record(geo, point, objective, gaps, opts) -> dict:
     res = np.abs(gaps)
     feasible = bool(res.max(initial=0.0) < opts.feasibility_tol)
-    return {"c": c, "p": p, "objective": float(objective), "residuals": res, "feasible": feasible}
+    return {**dict(zip(geo.keys, point)), "objective": float(objective),
+            "residuals": res, "feasible": feasible}
 
 
-def _multistart(objective, evals, targets, starts, raw, opts):
+def _multistart(geo, starts, raw, opts):
     """Solve every start as one batch and pick the best solution.
 
-    Feasible raw points join the pool as they are.  Each start keeps its own
-    AL multipliers and penalty and leaves the batch once feasible or hopeless;
-    feasible rows are then polished one by one.  Returns (best, pool): pool
+    starts and raw are lists of points of the geometry geo.  Feasible raw
+    points join the pool as they are.  Each start keeps its own AL
+    multipliers and penalty and leaves the batch once feasible or hopeless;
+    geo.finish then turns the rows into solutions.  Returns (best, pool): pool
     holds the feasible raw records, then one record per start; best is the
-    first feasible record of largest objective, else the smallest residual."""
+    first feasible record of largest objective, else the smallest residual.
+
+    A start is hopeless from round 5 on, when its worst gap is still above
+    1e4 feasibility_tol and has not fallen by 30% over the last three rounds.
+    The rule could fire from round 3, the first with three earlier rounds;
+    from round 5 the round it compares with is round 2 or later, so rounds 0
+    and 1, where the penalty is still penalty_init (times growth) and the
+    multipliers have moved at most once, never judge a start."""
     pool = []
     if raw:
-        c, p = (np.array(a, dtype=float) for a in zip(*raw))
-        recs = zip(raw, objective.value(c, p), _gaps(evals, targets, c, p))
-        pool = [r for r in (_record(*q, v, g, opts) for q, v, g in recs) if r["feasible"]]
-    c, p = (np.array(a, dtype=float) for a in zip(*starts))
-    lam = np.zeros((len(starts), len(evals)))
-    rho = np.full(len(starts), opts.penalty_init)
-    g, obj = _gaps(evals, targets, c, p), objective.value(c, p)
-    running = np.ones(len(starts), dtype=bool)
+        pts = _stack(raw)
+        recs = zip(zip(*pts), *geo.measure(*pts))
+        pool = [r for r in (_record(geo, *q, opts) for q in recs) if r["feasible"]]
+    theta = geo.start(*_stack(starts))
+    obj, g = geo.measure(*geo.point(theta))
+    lam = np.zeros_like(g)
+    rho = np.full(len(theta), opts.penalty_init)
+    running = np.ones(len(theta), dtype=bool)
     feas_hist: list[np.ndarray] = []
     for rnd in range(opts.max_outer):
         if not running.any():
             break
-        c[running], p[running], g[running], obj[running] = _ascend(
-            c[running], p[running], lam[running], rho[running],
-            objective, evals, targets, opts,
-        )
+        theta[running], g[running], obj[running] = _ascend(
+            geo, theta[running], lam[running], rho[running], opts)
         feas = np.abs(g).max(axis=1, initial=0.0)
         feas_hist.append(feas)
         stop = feas < opts.feasibility_tol
         if rnd >= 5:
-            # hopeless starts: feasibility stopped improving at a high level
             stop |= (feas > 0.7 * feas_hist[-4]) & (feas > 1e4 * opts.feasibility_tol)
         running &= ~stop
         lam[running] += rho[running, None] * g[running]
         rho[running] *= opts.penalty_growth
-    for i in range(len(starts)):
-        ci, pi, gi, oi = c[i], p[i], g[i], obj[i]
-        if np.abs(gi).max(initial=0.0) < opts.feasibility_tol:
-            ci, pi, gi, oi, _ = _polish(ci, pi, objective, evals, targets, opts)
-        pool.append(_record(ci, pi, oi, gi, opts))
+    pool += [_record(geo, *sol, opts) for sol in geo.finish(theta, g, obj)]
     feasible = [r for r in pool if r["feasible"]]
     if feasible:
         return max(feasible, key=lambda r: r["objective"]), pool
@@ -592,7 +636,8 @@ def maximize_entropy(
     seeds = [*_closed_form_candidates(constraints), *extra_seeds]
     starts, raw = _start_list(seeds, m, opts, np.random.default_rng(opts.seed))
 
-    best, pool = _multistart(EntropyObjective, evals, targets, starts, raw, opts)
+    geo = _GraphonGeometry(EntropyObjective, evals, targets, m, opts)
+    best, pool = _multistart(geo, starts, raw, opts)
     # spread: best against the best feasible solution in another basin
     key = _basin_key(best["c"], best["p"], opts) if best["feasible"] else None
     others = [r["objective"] for r in pool if r["feasible"] and r is not best
@@ -664,7 +709,8 @@ def bounded_signed_max(
     raw = [_split_to_m(q, m) for q in seeds]  # no seed has more than m blocks
     starts = [(c, np.clip(p, 1e-7, 1.0 - 1e-7)) for c, p in raw]
     _random_starts(starts, m, opts, np.random.default_rng(opts.seed))
-    best, _ = _multistart(DensityEvaluator(objective), evals, targets, starts, raw, opts)
+    geo = _GraphonGeometry(DensityEvaluator(objective), evals, targets, m, opts)
+    best, _ = _multistart(geo, starts, raw, opts)
     q = canonicalize(StepGraphon(best["c"], best["p"]), opts.merge_tol)
     return SignedMaxResult(
         best["objective"], q, float(best["residuals"].max()), best["feasible"], m

@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .graphon import decimal_fraction
+from .gradients import _dot
+from .optimizer import _al, _multistart
 
 MARGINAL_TOL = 1e-9
 EXACT_PATTERN_CAP = 3
@@ -27,9 +29,7 @@ PLAIN_PATTERN_CAP = 6
 STAR_PATTERN_CAP = 4
 COUNT_N_CAP = 9
 DENSITY_FLOOR = 1e-12
-
-_U_LETTERS = "abc"
-_V_LETTERS = "xyz"
+_LOG_FLOOR = math.log(DENSITY_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -218,75 +218,76 @@ def perm_pattern_density(pi: Permutation, pattern: StarPattern) -> Fraction:
 @lru_cache(maxsize=64)
 def _chain_tensor(k: int, res: int) -> np.ndarray:
     """Weight tensor for weakly increasing cell chains of k points on one
-    axis: strict steps weigh 1, ties weigh 1/(group size)!."""
-    idx = np.arange(res)
-    if k == 1:
-        return np.ones(res)
-    if k == 2:
-        a, b = np.meshgrid(idx, idx, indexing="ij")
-        return (a < b) + 0.5 * (a == b)
-    if k == 3:
-        a = idx[:, None, None]
-        b = idx[None, :, None]
-        c = idx[None, None, :]
-        t = ((a < b) & (b < c)) * 1.0
-        t += 0.5 * ((a == b) & (b < c))
-        t += 0.5 * ((a < b) & (b == c))
-        t += (1.0 / 6.0) * ((a == b) & (b == c))
-        return t
-    raise ValueError("chain tensors only built for k <= 3")
+    axis: strict steps weigh 1, a group of s tied points 1/s!."""
+    idx = np.meshgrid(*[np.arange(res)] * k, indexing="ij", sparse=True)
+    t, run = np.ones((res,) * k), 1
+    for prev, cur in zip(idx, idx[1:]):
+        run = np.where(cur == prev, run + 1, 1)  # size of the tie group so far
+        t = t * (cur >= prev) / run
+    t.flags.writeable = False  # cached: every caller gets this array
+    return t
 
 
-_EINSUM_CACHE: dict = {}
+def _contract(q: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Cell axis `axis` of q (B or 1, r, ..., r) summed against w (B, r, r):
+    index y there becomes a, weighted by w[b, a, y]."""
+    q = np.moveaxis(q, axis + 1, -1)
+    wt = np.swapaxes(w, 1, 2).reshape(len(w), *[1] * (q.ndim - 3), *w.shape[1:])
+    return np.moveaxis(q @ wt, -1, axis + 1)
 
 
-def _completion_einsum(tau: tuple[int, ...], res: int):
-    k = len(tau)
-    u = _U_LETTERS[:k]
-    v = _V_LETTERS[:k]
-    subs = [u[t] + v[tau[t] - 1] for t in range(k)] + [u, v]
-    value_sub = ",".join(subs) + "->"
-    key = (tau, res)
-    if key not in _EINSUM_CACHE:
-        w = np.empty((res, res))
-        chain = _chain_tensor(k, res)
-        ops = [w] * k + [chain, chain]
-        path, _ = np.einsum_path(value_sub, *ops, optimize="greedy")
-        grad_paths = []
-        for t in range(k):
-            out = subs[t]
-            rest = subs[:t] + subs[t + 1 :]
-            gsub = ",".join(rest) + "->" + out
-            gops = [w] * (k - 1) + [chain, chain]
-            gpath, _ = np.einsum_path(gsub, *gops, optimize="greedy")
-            grad_paths.append((gsub, gpath))
-        _EINSUM_CACHE[key] = (value_sub, path, grad_paths)
-    return _EINSUM_CACHE[key]
+class _PatternDensity:
+    """Exact density of a star pattern on a batch of grid permutons g
+    (B, r, r), and its gradient in g.
+
+    With w = g / r^2 and T the chain tensor, a completion tau of length k has
+    density k! sum T[a] S[y] prod_t w[a_t, y_t]: S is T with its axes in the
+    order tau, as the points' x-cells a and y-cells must both be weakly
+    increasing.  S summed against w along every axis but t, then against T,
+    is the derivative in factor t; summed once more against w it is the
+    density.  Every product runs per grid, so a grid's result does not depend
+    on its batch."""
+
+    def __init__(self, pattern: StarPattern, res: int):
+        if pattern.k > EXACT_PATTERN_CAP:
+            raise ValueError(f"exact pattern densities support length <= {EXACT_PATTERN_CAP}")
+        if res > EXACT_RESOLUTION_CAP:
+            raise ValueError(f"exact pattern densities support resolution <= {EXACT_RESOLUTION_CAP}")
+        self.k, self.res = pattern.k, res
+        chain = _chain_tensor(pattern.k, res)
+        self.chains = [np.moveaxis(chain, t, 0).reshape(res, -1) for t in range(self.k)]
+        self.orders = [np.transpose(chain, [t - 1 for t in tau])[None]
+                       for tau in pattern.completions()]
+
+    def __call__(self, g: np.ndarray, grad: bool = False):
+        """(densities (B,), gradients (B, r, r) or None without grad)."""
+        n, scale = len(g), self.res * self.res
+        w = g / scale
+        val, dg = np.zeros(n), np.zeros_like(g)
+        for order in self.orders:
+            for t in range(self.k if grad else 1):
+                q = order
+                for axis in range(self.k):
+                    q = q if axis == t else _contract(q, w, axis)
+                q = np.moveaxis(np.broadcast_to(q, (n, *order.shape[1:])), t + 1, 1)
+                part = self.chains[t] @ np.swapaxes(q.reshape(n, self.res, -1), 1, 2)
+                if t == 0:
+                    val += (w * part).sum(axis=(1, 2))
+                dg += part
+        fact = math.factorial(self.k)
+        return fact * val, (fact / scale * dg if grad else None)
 
 
-def _exact_completion_density(w: np.ndarray, tau: tuple[int, ...]) -> float:
-    res = w.shape[0]
-    k = len(tau)
-    value_sub, path, _ = _completion_einsum(tau, res)
-    chain = _chain_tensor(k, res)
-    ops = [w] * k + [chain, chain]
-    return math.factorial(k) * float(np.einsum(value_sub, *ops, optimize=path))
+def _matches(ranks: np.ndarray, pattern: StarPattern) -> np.ndarray:
+    """Whether each row of ranks (values 1..k) is a completion of the pattern."""
 
+    def codes(r):  # the ranks as base-(k+1) digits
+        out = np.zeros(r.shape[:-1], dtype=np.int64)
+        for t in range(pattern.k):
+            out = out * (pattern.k + 1) + r[..., t]
+        return out
 
-def _exact_completion_grad(w: np.ndarray, tau: tuple[int, ...]) -> np.ndarray:
-    """d(density)/d(w) for one completion; w = g / k^2."""
-    res = w.shape[0]
-    k = len(tau)
-    _, _, grad_paths = _completion_einsum(tau, res)
-    chain = _chain_tensor(k, res)
-    out = np.zeros_like(w)
-    fact = math.factorial(k)
-    for t in range(k):
-        gsub, gpath = grad_paths[t]
-        ops = [w] * (k - 1) + [chain, chain]
-        part = np.einsum(gsub, *ops, optimize=gpath)
-        out += fact * part
-    return out
+    return np.isin(codes(ranks), codes(np.array(pattern.completions())))
 
 
 def permuton_pattern_density(
@@ -305,14 +306,8 @@ def permuton_pattern_density(
     """
     k = pattern.k
     if method == "exact":
-        if k > EXACT_PATTERN_CAP:
-            raise ValueError(f"exact method supports pattern length <= {EXACT_PATTERN_CAP}")
-        if gamma.k > EXACT_RESOLUTION_CAP:
-            raise ValueError(f"exact method supports resolution <= {EXACT_RESOLUTION_CAP}")
-        if k == 1:
-            return 1.0
-        w = gamma.g / (gamma.k * gamma.k)
-        return float(sum(_exact_completion_density(w, tau) for tau in pattern.completions()))
+        density = _PatternDensity(pattern, gamma.k)
+        return 1.0 if k == 1 else float(density(gamma.g[None])[0][0])
     if method == "montecarlo":
         if k > PLAIN_PATTERN_CAP:
             raise ValueError(f"pattern length above cap {PLAIN_PATTERN_CAP}")
@@ -330,18 +325,7 @@ def permuton_pattern_density(
         order = np.argsort(x, axis=1)
         ysorted = np.take_along_axis(y, order, axis=1)
         ranks = np.argsort(np.argsort(ysorted, axis=1), axis=1) + 1
-        base = k + 1
-        codes = np.zeros(samples, dtype=np.int64)
-        for t in range(k):
-            codes = codes * base + ranks[:, t]
-        wanted = set()
-        for tau in pattern.completions():
-            code = 0
-            for t in range(k):
-                code = code * base + tau[t]
-            wanted.add(code)
-        hits = np.isin(codes, np.array(sorted(wanted), dtype=np.int64))
-        return float(hits.mean())
+        return float(_matches(ranks, pattern).mean())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -349,18 +333,34 @@ def project_uniform_marginals(
     g: np.ndarray, tol: float = MARGINAL_TOL, max_iter: int = 5000
 ) -> np.ndarray:
     """Alternating row/column renormalization onto the uniform-marginal
-    manifold (row and column sums equal to the resolution).  An input already
-    within tolerance is returned unchanged."""
+    manifold (row and column sums equal to the resolution), of one grid
+    (k, k) or of each grid of a batch (B, k, k).  A grid already within
+    tolerance is returned unchanged.  Each grid stops once within tolerance,
+    so a grid of a batch ends as it would alone.  A column step leaves the
+    column sums exact up to rounding, so after the first sweep only the row
+    sums are tested."""
     out = np.clip(np.asarray(g, dtype=float), 0.0, None)
-    k = out.shape[0]
+    grids = out.reshape(-1, *out.shape[-2:])
+    k = out.shape[-1]
+
+    def off(sums):
+        return np.abs(sums - k).max(axis=-1) > tol * k
+
+    rows = grids.sum(axis=-1)
+    busy = off(rows) | off(grids.sum(axis=-2))
+    idx, rows = np.flatnonzero(busy), rows[busy]  # the grids still scaled
+    act = grids[idx]
     for _ in range(max_iter):
-        rows = out.sum(axis=1)
-        cols = out.sum(axis=0)
-        if np.abs(rows - k).max() <= tol * k and np.abs(cols - k).max() <= tol * k:
+        if not idx.size:
             break
-        out = out * (k / np.maximum(rows, 1e-300))[:, None]
-        cols = out.sum(axis=0)
-        out = out * (k / np.maximum(cols, 1e-300))[None, :]
+        act *= (k / np.maximum(rows, 1e-300))[:, :, None]
+        act *= (k / np.maximum(act.sum(axis=-2), 1e-300))[:, None, :]
+        rows = act.sum(axis=-1)
+        busy = off(rows)
+        if not busy.all():
+            grids[idx[~busy]] = act[~busy]
+            idx, rows, act = idx[busy], rows[busy], act[busy]
+    grids[idx] = act
     return out
 
 
@@ -398,37 +398,68 @@ class PermutonOptimizerResult:
         }
 
 
-class _StarDensity:
-    """Exact value/gradient of one star-pattern density on grid permutons."""
+def _perm_entropy(g: np.ndarray):
+    """Entropy (B,) of a batch of grids (B, k, k) floored at DENSITY_FLOOR,
+    and its gradient in g."""
+    k2 = g.shape[-1] ** 2
+    gc = np.clip(g, DENSITY_FLOOR, None)
+    log_g = np.log(gc)
+    # 0.0 - s, not -s: the uniform grid's entropy is 0.0, not -0.0
+    return 0.0 - (gc * log_g).sum(axis=(1, 2)) / k2, (-log_g - 1.0) / k2
 
-    def __init__(self, pattern: StarPattern, res: int):
-        if pattern.k > EXACT_PATTERN_CAP:
-            raise ValueError(
-                f"optimizer constraints need pattern length <= {EXACT_PATTERN_CAP}"
-            )
-        self.completions = pattern.completions()
+
+class _PermutonGeometry:
+    """Grid permutons at resolution r for the AL driver of phases.optimizer:
+    theta = log g (flattened), a point is (g,).
+
+    A driver step theta + eta * dAL/dg is an exponentiated-gradient (mirror)
+    step in g, and the projection restores uniform marginals by Sinkhorn
+    scaling, which is itself multiplicative.  Trial points get at most 400
+    Sinkhorn sweeps; finish runs the tight projection and recomputes entropy
+    and gaps."""
+
+    keys = ("g",)
+    steps = (0.5, 50.0)
+
+    def __init__(self, constraints, res: int):
+        self.evals = [_PatternDensity(p, res) for p, _ in constraints]
+        self.targets = np.array([t for _, t in constraints])
         self.res = res
 
-    def value(self, g: np.ndarray) -> float:
-        w = g / (self.res * self.res)
-        return float(sum(_exact_completion_density(w, tau) for tau in self.completions))
+    def start(self, g):
+        return np.log(np.clip(g, DENSITY_FLOOR, None)).reshape(len(g), -1)
 
-    def value_and_grad(self, g: np.ndarray):
-        w = g / (self.res * self.res)
-        val = 0.0
-        grad = np.zeros_like(g)
-        for tau in self.completions:
-            val += _exact_completion_density(w, tau)
-            grad += _exact_completion_grad(w, tau)
-        return val, grad / (self.res * self.res)
+    def point(self, theta):
+        return (np.exp(theta).reshape(-1, self.res, self.res),)
 
+    def measure(self, g):
+        gaps = np.empty((len(g), len(self.evals)))
+        for j, ev in enumerate(self.evals):
+            gaps[:, j] = ev(g)[0] - self.targets[j]
+        return _perm_entropy(g)[0], gaps
 
-def _perm_entropy_and_grad(g: np.ndarray):
-    k2 = g.shape[0] * g.shape[0]
-    gc = np.clip(g, DENSITY_FLOOR, None)
-    val = float(-np.sum(gc * np.log(gc))) / k2
-    grad = (-np.log(gc) - 1.0) / k2
-    return val, grad
+    def project(self, theta):
+        (g,) = self.point(np.clip(theta, _LOG_FLOOR, -_LOG_FLOOR))
+        return self.start(project_uniform_marginals(g, max_iter=400))
+
+    def grads(self, theta, lam, rho):
+        """(AL value, gaps, AL gradient in g, entropy) per row."""
+        (g,) = self.point(theta)
+        h, grad = _perm_entropy(g)
+        gaps = np.empty((len(g), len(self.evals)))
+        for j, ev in enumerate(self.evals):
+            t, dt = ev(g, grad=True)
+            gaps[:, j] = t - self.targets[j]
+            grad = grad - (lam[:, j] + rho * gaps[:, j])[:, None, None] * dt
+        return _al(h, gaps, lam, rho), gaps, grad.reshape(len(g), -1), h
+
+    def gain(self, grad, theta_0, theta):
+        # paired with the change in g, not in log g: the mirror-step form
+        return _dot(grad, np.exp(theta) - np.exp(theta_0))
+
+    def finish(self, theta, gaps, h):
+        g = project_uniform_marginals(self.point(theta)[0])
+        return zip(((gi,) for gi in g), *self.measure(g))
 
 
 def maximize_permuton_entropy(
@@ -437,8 +468,11 @@ def maximize_permuton_entropy(
     opts: PermutonOptimizerOptions | None = None,
 ) -> PermutonOptimizerResult:
     """Maximize permuton entropy over grid permutons subject to star-pattern
-    density constraints, keeping uniform marginals by alternating row/column
-    renormalization after every ascent step.
+    density constraints: the augmented-Lagrangian multistart driver of
+    phases.optimizer, the one the graphon solver runs, on the permuton
+    geometry (mirror ascent in log g, uniform marginals restored by Sinkhorn
+    scaling after every step).  The starts are the uniform permuton, which
+    also joins the pool as it is when feasible, and random grids.
 
     constraints: sequence of (StarPattern, target).  Infeasibility (no start
     reaches the tolerance) is reported explicitly; `degenerate` flags runs
@@ -447,114 +481,21 @@ def maximize_permuton_entropy(
     if resolution > EXACT_RESOLUTION_CAP:
         raise ValueError(f"resolution capped at {EXACT_RESOLUTION_CAP}")
     opts = opts or PermutonOptimizerOptions()
-    constraints = [(p, float(t)) for p, t in constraints]
-    evals = [_StarDensity(p, resolution) for p, _ in constraints]
-    targets = np.array([t for _, t in constraints])
+    geo = _PermutonGeometry([(p, float(t)) for p, t in constraints], resolution)
     rng = np.random.default_rng(opts.seed)
-
-    starts = [np.ones((resolution, resolution))]
-    while len(starts) < opts.n_starts:
-        raw = rng.uniform(0.2, 1.8, (resolution, resolution))
-        starts.append(project_uniform_marginals(raw))
-
-    def run_start(g0: np.ndarray):
-        g = g0.copy()
-        lam = np.zeros(len(evals))
-        rho = opts.penalty_init
-        con = np.array([ev.value(g) for ev in evals]) - targets
-        feas_hist: list[float] = []
-
-        def al_value(gv):
-            h, _ = _perm_entropy_and_grad(gv)
-            cv = np.array([ev.value(gv) for ev in evals]) - targets
-            return h - lam @ cv - 0.5 * rho * (cv @ cv), cv
-
-        for rnd in range(opts.max_outer):
-            f, con = al_value(g)
-            eta = 0.5
-            prev = None
-            for _it in range(opts.max_inner):
-                h, dh = _perm_entropy_and_grad(g)
-                grad = dh.copy()
-                for j, ev in enumerate(evals):
-                    tval, dg = ev.value_and_grad(g)
-                    grad -= (lam[j] + rho * (tval - targets[j])) * dg
-                # exponentiated-gradient (mirror) step: multiplicative updates
-                # compose cleanly with the multiplicative marginal projection
-                logg = np.log(np.clip(g, DENSITY_FLOOR, None))
-                if prev is not None:
-                    dth = (logg - prev[0]).ravel()
-                    dgr = (grad - prev[1]).ravel()
-                    denom = -float(dth @ dgr)
-                    if denom > 1e-18:
-                        eta = float(dth @ dth) / denom
-                eta = min(max(eta, 1e-10), 50.0)
-                prev = (logg, grad.copy())
-                accepted = False
-                for _bt in range(60):
-                    step = np.clip(eta * grad, -30.0, 30.0)
-                    g_n = project_uniform_marginals(
-                        np.clip(g * np.exp(step), DENSITY_FLOOR, None), max_iter=400
-                    )
-                    f_n, con_n = al_value(g_n)
-                    if f_n + 1e-18 >= f:
-                        accepted = True
-                        break
-                    eta /= 2.0
-                    if eta < 1e-14:
-                        break
-                if not accepted:
-                    break
-                moved = np.abs(g_n - g).max()
-                g, f, con = g_n, f_n, con_n
-                if moved < opts.gtol:
-                    break
-            feas = float(np.abs(con).max(initial=0.0))
-            feas_hist.append(feas)
-            if feas < opts.feasibility_tol:
-                break
-            if rnd >= 4 and feas > 0.7 * feas_hist[-4] and feas > 1e4 * opts.feasibility_tol:
-                break
-            lam = lam + rho * con
-            rho *= opts.penalty_growth
-        g = project_uniform_marginals(np.clip(g, DENSITY_FLOOR, None))
-        con = np.array([ev.value(g) for ev in evals]) - targets
-        h, _ = _perm_entropy_and_grad(g)
-        return {
-            "g": g,
-            "entropy": h,
-            "residuals": np.abs(con),
-            "feasible": bool(np.abs(con).max(initial=0.0) < opts.feasibility_tol),
-        }
-
-    pool = []
-    g0 = starts[0]
-    con0 = np.array([ev.value(g0) for ev in evals]) - targets
-    if np.abs(con0).max(initial=0.0) < opts.feasibility_tol:
-        pool.append(
-            {
-                "g": g0,
-                "entropy": 0.0,
-                "residuals": np.abs(con0),
-                "feasible": True,
-            }
-        )
-    for g_start in starts:
-        pool.append(run_start(g_start))
-    feasible = [r for r in pool if r["feasible"]]
-    chosen = (
-        max(feasible, key=lambda r: r["entropy"])
-        if feasible
-        else min(pool, key=lambda r: float(r["residuals"].max(initial=0.0)))
-    )
-    g_best = project_uniform_marginals(chosen["g"])
-    degenerate = (not bool(feasible)) or bool(g_best.min() <= 10 * DENSITY_FLOOR)
+    starts = [(np.ones((resolution, resolution)),)]
+    if opts.n_starts > 1:
+        raw = rng.uniform(0.2, 1.8, (opts.n_starts - 1, resolution, resolution))
+        starts += [(g,) for g in project_uniform_marginals(raw)]
+    best, _ = _multistart(geo, starts, starts[:1], opts)
+    g = project_uniform_marginals(best["g"])
+    feasible = best["feasible"]
     return PermutonOptimizerResult(
-        permuton=GridPermuton(g_best),
-        entropy=float(chosen["entropy"]),
-        residuals=tuple(float(r) for r in chosen["residuals"]),
-        feasible=bool(feasible),
-        degenerate=degenerate,
+        permuton=GridPermuton(g),
+        entropy=best["objective"],
+        residuals=tuple(float(r) for r in best["residuals"]),
+        feasible=feasible,
+        degenerate=not feasible or bool(g.min() <= 10 * DENSITY_FLOOR),
     )
 
 
@@ -603,22 +544,10 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
         cap = PLAIN_PATTERN_CAP if pattern.is_plain else STAR_PATTERN_CAP
         if k > cap:
             raise ValueError(f"pattern length {k} above cap {cap}")
-        base = k + 1
-        wanted = set()
-        for tau in pattern.completions():
-            code = 0
-            for t in range(k):
-                code = code * base + tau[t]
-            wanted.add(code)
-        wanted_arr = np.array(sorted(wanted), dtype=np.int64)
         counts = np.zeros(total, dtype=np.int64)
         for combo in itertools.combinations(range(n), k):
             sub = perms[:, combo]
-            ranks = np.argsort(np.argsort(sub, axis=1), axis=1).astype(np.int64) + 1
-            codes = np.zeros(total, dtype=np.int64)
-            for t in range(k):
-                codes = codes * base + ranks[:, t]
-            counts += np.isin(codes, wanted_arr)
+            counts += _matches(np.argsort(np.argsort(sub, axis=1), axis=1) + 1, pattern)
         b = math.comb(n, k)
         lo_f = decimal_fraction(alpha) - decimal_fraction(delta)
         hi_f = decimal_fraction(alpha) + decimal_fraction(delta)

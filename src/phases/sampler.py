@@ -71,6 +71,10 @@ class ChainConfig:
             raise ValueError("hard windows need a positive delta at finite n")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.burn_in_steps < 0 or self.interval_steps < 0:
+            raise ValueError("burn_in and sample_interval must be >= 0")
+        if self.burn_in_steps + self.interval_steps * self.n_samples == 0:
+            raise ValueError("the chain makes no proposals: burn_in and sample_interval are 0")
 
     @property
     def burn_in_steps(self) -> int:

@@ -1,10 +1,13 @@
 """Property tests of the batched evaluation and the batched multistart.
 
-The optimizer solves all starts of one podality m as one batch, so every
-evaluator takes a leading batch axis.  These tests check that a batch gives
-row by row what one-graphon calls give, and that a start's solution does not
-depend on the other starts in its batch.
+The optimizer solves all starts of one podality m (of one permuton
+resolution) as one batch, so every evaluator takes a leading batch axis.
+These tests check that a batch gives row by row what one-graphon (one-grid)
+calls give, and that a start's solution does not depend on the other starts
+in its batch.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +25,17 @@ from phases.graphon import (
 from phases.optimizer import (
     OptimizerOptions,
     _closed_form_candidates,
+    _GraphonGeometry,
     _multistart,
     _start_list,
+)
+from phases.permuton import (
+    PermutonOptimizerOptions,
+    StarPattern,
+    _chain_tensor,
+    _PatternDensity,
+    _PermutonGeometry,
+    project_uniform_marginals,
 )
 
 PATTERNS = {
@@ -125,10 +137,102 @@ def test_start_solution_does_not_depend_on_its_batch(m, eps, ratio, seed, row):
     starts = starts[:8]
     row = row % len(starts)
     evals = [DensityEvaluator(p) for p in cons.patterns]
-    _, batch_pool = _multistart(EntropyObjective, evals, cons.targets, starts, [], opts)
-    _, alone_pool = _multistart(EntropyObjective, evals, cons.targets, [starts[row]], [], opts)
+    geo = _GraphonGeometry(EntropyObjective, evals, cons.targets, m, opts)
+    _, batch_pool = _multistart(geo, starts, [], opts)
+    _, alone_pool = _multistart(geo, [starts[row]], [], opts)
     in_batch, alone = batch_pool[row], alone_pool[0]
     assert in_batch["feasible"] == alone["feasible"]
     assert in_batch["objective"] == pytest.approx(alone["objective"], abs=1e-10)
     np.testing.assert_allclose(in_batch["c"], alone["c"], rtol=0, atol=1e-10)
     np.testing.assert_allclose(in_batch["p"], alone["p"], rtol=0, atol=1e-10)
+
+
+STAR_PATTERNS = ["1", "12", "21", "123", "132", "231", "321", "*2*", "1**", "*1"]
+
+
+def random_grids(seed: int, batch: int, res: int, spread: float) -> np.ndarray:
+    """Positive grids (batch, res, res) whose entries span about e^(2 spread)."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-spread, spread, (batch, res, res)))
+
+
+@PROPERTY
+@given(
+    batch=st.integers(1, 8),
+    res=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 6.0),
+    max_iter=st.sampled_from([1, 3, 400, 5000]),
+    settled=st.integers(0, 8),
+)
+def test_batched_projection_matches_rows(batch, res, seed, spread, max_iter, settled):
+    g = random_grids(seed, batch, res, spread)
+    g[:settled] = project_uniform_marginals(g[:settled])  # some rows start in tolerance
+    out = project_uniform_marginals(g, max_iter=max_iter)
+    assert out.shape == g.shape
+    for i in range(batch):
+        np.testing.assert_array_equal(out[i], project_uniform_marginals(g[i], max_iter=max_iter))
+
+
+def einsum_density(w: np.ndarray, pattern: StarPattern) -> float:
+    """The defining sum of an exact pattern density on one grid w = g / r^2,
+    contracted by numpy.einsum: k! sum T[a] T[x] prod_t w[a_t, x_(tau_t)]
+    over the completions tau, with T the chain tensor."""
+    k = pattern.k
+    u, v = "abc"[:k], "xyz"[:k]
+    chain = _chain_tensor(k, len(w))
+    total = 0.0
+    for tau in pattern.completions():
+        subs = ",".join([u[t] + v[tau[t] - 1] for t in range(k)] + [u, v]) + "->"
+        total += math.factorial(k) * np.einsum(subs, *[w] * k, chain, chain, optimize=True)
+    return total
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(STAR_PATTERNS),
+    batch=st.integers(1, 8),
+    res=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_completion_density_matches_rows_and_differences(name, batch, res, seed):
+    pattern = StarPattern.parse(name)
+    density = _PatternDensity(pattern, res)
+    g = random_grids(seed, batch, res, 1.0)
+    vals, grads = density(g, grad=True)
+    assert vals.shape == (batch,) and grads.shape == g.shape
+    np.testing.assert_array_equal(density(g)[0], vals)
+    direction = np.random.default_rng(seed + 1).normal(size=g.shape)
+    h = 1e-4
+    for i in range(batch):
+        val, grad = density(g[i : i + 1], grad=True)
+        np.testing.assert_array_equal(val[0], vals[i])
+        np.testing.assert_array_equal(grad[0], grads[i])
+        assert vals[i] == pytest.approx(einsum_density(g[i] / res**2, pattern), rel=1e-12)
+        up, down = (density((g[i] + s * h * direction[i])[None])[0][0] for s in (1.0, -1.0))
+        slope = np.sum(grad[0] * direction[i])
+        assert (up - down) / (2 * h) == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+
+@SOLVES
+@given(
+    name=st.sampled_from(["12", "123", "*2*"]),
+    target=st.floats(0.2, 0.8),
+    res=st.integers(2, 6),
+    seed=st.integers(0, 1000),
+    row=st.integers(0, 7),
+)
+def test_permuton_start_solution_does_not_depend_on_its_batch(name, target, res, seed, row):
+    pattern = StarPattern.parse(name)
+    if pattern.k == 3:  # about the uniform permuton's 1/6 and 1/3, as 0.5 is for 12
+        target /= 3.0 if pattern.is_plain else 1.5
+    opts = PermutonOptimizerOptions(n_starts=8, seed=seed)
+    geo = _PermutonGeometry([(pattern, target)], res)
+    grids = project_uniform_marginals(random_grids(seed, 7, res, 0.8))
+    starts = [(np.ones((res, res)),)] + [(g,) for g in grids]
+    _, batch_pool = _multistart(geo, starts, [], opts)
+    _, alone_pool = _multistart(geo, [starts[row]], [], opts)
+    in_batch, alone = batch_pool[row], alone_pool[0]
+    assert in_batch["feasible"] == alone["feasible"]
+    assert in_batch["objective"] == alone["objective"]
+    np.testing.assert_array_equal(in_batch["g"], alone["g"])

@@ -116,6 +116,14 @@ def test_sample_writes_edge_lists_and_manifest(tmp_path, capsys):
     assert header == "chain,sample,step,density_0,density_1"
 
 
+def test_sample_without_proposals_is_a_usage_error(tmp_path, capsys):
+    code = run(tmp_path, "sample", "--n", "16", "--eps", "0.5", "--tau", "0.125",
+               "--delta", "0.05", "--samples", "2", "--burn-in", "0",
+               "--interval", "0", "--out-dir", str(tmp_path / "chains"))
+    assert code == 1
+    assert "no proposals" in capsys.readouterr().err
+
+
 def test_enumerate_with_histogram(tmp_path, capsys):
     hist = tmp_path / "h.csv"
     code = run(tmp_path, "enumerate", "--n", "4", "--eps", "0.5", "--tau", "0.25",

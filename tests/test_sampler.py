@@ -124,6 +124,25 @@ class TestChainConfig:
         assert cfg.burn_in_steps == 5000
         assert cfg.interval_steps == 100
 
+    @pytest.mark.parametrize("burn_in, interval", [(-100, 10), (100, -1), (-1, -1)])
+    def test_rejects_negative_schedule(self, burn_in, interval):
+        with pytest.raises(ValueError, match=">= 0"):
+            ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=burn_in,
+                        sample_interval=interval, n_samples=2)
+
+    def test_rejects_a_chain_without_proposals(self):
+        with pytest.raises(ValueError, match="no proposals"):
+            ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=0, sample_interval=0)
+
+    def test_accepts_a_chain_that_only_burns_in_or_only_samples(self):
+        cons = edge_only(0.5, 0.1)
+        run = sample_constrained(ChainConfig(n=10, constraints=cons, burn_in=50,
+                                             sample_interval=0, n_samples=1))
+        assert len(run) == 1 and 0.0 <= run.acceptance_rate <= 1.0
+        run = sample_constrained(ChainConfig(n=10, constraints=cons, burn_in=0,
+                                             sample_interval=20, n_samples=2))
+        assert len(run) == 2 and 0.0 <= run.acceptance_rate <= 1.0
+
 
 class TestSampleConstrained:
     def test_confinement(self):
