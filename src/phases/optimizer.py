@@ -627,9 +627,6 @@ def maximize_entropy(
     """
     if not 1 <= m <= M_CAP:
         raise ValueError(f"podality ansatz m must lie in 1..{M_CAP}")
-    for pat in constraints.patterns:
-        if pat.k > 6:
-            raise ValueError(f"constraint pattern with {pat.k} vertices above cap 6")
     opts = opts or OptimizerOptions()
     evals = [DensityEvaluator(p) for p in constraints.patterns]
     targets = constraints.targets

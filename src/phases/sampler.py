@@ -386,7 +386,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
                 accepted += 1
                 stalled = stalled or step - 1 - last_accept >= sweep
                 last_accept = step
-            if step >= next_sample and len(graphs) < cfg.n_samples:
+            while step >= next_sample and len(graphs) < cfg.n_samples:
                 graphs.append(FiniteGraph(tracker.adj))
                 rows.append(tracker.densities())
                 next_sample += cfg.interval_steps

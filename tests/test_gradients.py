@@ -3,6 +3,7 @@ import pytest
 
 from phases.gradients import DensityEvaluator, EntropyObjective, mass_chain_rule
 from phases.graphon import StepGraphon, SubgraphPattern, graphon_entropy, subgraph_density
+from phases.metrics import connected_patterns
 
 PATTERNS = {
     "edge": SubgraphPattern.edge(),
@@ -12,6 +13,11 @@ PATTERNS = {
     "t1": SubgraphPattern.signed_two_star(),
     "t2": SubgraphPattern.signed_square(),
     "4cycle": SubgraphPattern.cycle(4),
+    "4cycle-absent": SubgraphPattern(4, ((1, 2), (2, 3), (3, 4)), ((1, 4),)),
+    "isolated": SubgraphPattern(3, ((1, 2),)),
+    "vertex": SubgraphPattern(1, ()),
+    "5signed": SubgraphPattern(5, ((1, 2), (2, 3), (3, 4), (4, 5)), ((1, 5), (2, 4))),
+    **{f"H{i}": h for i, h in enumerate(connected_patterns(5), 1)},
 }
 
 
@@ -83,11 +89,17 @@ def test_fast_path_matches_generic_grads(name, rng):
 
 @pytest.mark.parametrize("name", sorted(PATTERNS))
 def test_pattern_gradients_match_finite_differences(name, rng):
-    ev = DensityEvaluator(PATTERNS[name])
+    pat = PATTERNS[name]
+    ev = DensityEvaluator(pat)
     for _ in range(10):
         c, p = random_interior_point(rng, int(rng.integers(2, 5)))
         _, dv, dc = ev.value_and_grads(c, p)
-        assert fd_check(ev.value, c, p, dv, dc) < 1e-5
+        if pat.all_edges:
+            assert fd_check(ev.value, c, p, dv, dc) < 1e-5
+        else:
+            # t = sum(c) is 1 on the simplex: its gradient is zero there, so a
+            # relative difference error has no scale; check d/dc = 1 exactly
+            assert not dv.any() and np.array_equal(dc, np.ones_like(c))
 
 
 def test_entropy_gradients_match_finite_differences(rng):
@@ -105,3 +117,19 @@ def test_evaluator_agrees_with_module_functions(rng):
             subgraph_density(q, pat), abs=1e-12
         )
     assert EntropyObjective.value(c, p) == pytest.approx(graphon_entropy(q), abs=1e-12)
+
+
+def test_plans_run_without_einsum(monkeypatch, rng):
+    """A generic pattern is evaluated by its compiled plan: no per-call path
+    planning and no einsum."""
+
+    def banned(*args, **kwargs):
+        raise AssertionError("einsum called while evaluating a plan")
+
+    monkeypatch.setattr(np, "einsum_path", banned)
+    monkeypatch.setattr(np, "einsum", banned)
+    c = rng.dirichlet(np.ones(5), size=8)
+    p = rng.uniform(size=(8, 5, 5))
+    p = (p + np.swapaxes(p, 1, 2)) / 2.0
+    val, dv, dc = DensityEvaluator(SubgraphPattern.signed_square()).value_and_grads(c, p)
+    assert val.shape == (8,) and dv.shape == (8, 5, 5) and dc.shape == (8, 5)

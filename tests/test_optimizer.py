@@ -5,6 +5,7 @@ import pytest
 
 from phases.graphon import (
     ConstraintVector,
+    PatternTooLargeError,
     StepGraphon,
     SubgraphPattern,
     graphon_entropy,
@@ -213,3 +214,13 @@ class TestBoundedSignedMax:
             bounded_signed_max(
                 SubgraphPattern.signed_two_star(), SubgraphPattern.signed_square(), 13
             )
+
+
+def test_pattern_above_vertex_cap_is_rejected():
+    big = SubgraphPattern.path(7)
+    with pytest.raises(PatternTooLargeError, match="7 vertices"):
+        maximize_entropy(ConstraintVector(((EDGE, 0.5), (big, 0.1))), 2, FAST)
+    with pytest.raises(PatternTooLargeError, match="7 vertices"):
+        bounded_signed_max(SubgraphPattern.signed_two_star(), big, 2, FAST)
+    with pytest.raises(PatternTooLargeError, match="7 vertices"):
+        bounded_signed_max(big, SubgraphPattern.signed_square(), 2, FAST)

@@ -103,7 +103,7 @@ def single_proposal_chain(cfg):
         else:
             since_accept += 1
             stalled = stalled or since_accept >= n * (n - 1) // 2
-        if step >= next_sample and len(graphs) < cfg.n_samples:
+        while step >= next_sample and len(graphs) < cfg.n_samples:
             graphs.append(adj.copy())
             rows.append(densities(adj))
             next_sample += cfg.interval_steps
@@ -142,6 +142,11 @@ class TestChainConfig:
         run = sample_constrained(ChainConfig(n=10, constraints=cons, burn_in=0,
                                              sample_interval=20, n_samples=2))
         assert len(run) == 2 and 0.0 <= run.acceptance_rate <= 1.0
+        # with no interval, every sample is taken at the end of the burn-in
+        run = sample_constrained(ChainConfig(n=10, constraints=cons, burn_in=50,
+                                             sample_interval=0, n_samples=2))
+        assert len(run) == 2
+        assert np.array_equal(run.graphs[0].adjacency, run.graphs[1].adjacency)
 
 
 class TestSampleConstrained:
