@@ -32,8 +32,6 @@ from .optimizer import (
     reference_construction,
 )
 from .permuton import (
-    GridPermuton,
-    Permutation,
     PermutonOptimizerOptions,
     StarPattern,
     count_constrained_perms,
@@ -45,7 +43,6 @@ from .sampler import ChainConfig, SamplerInitError, enumerate_Z, sample_constrai
 from .scan import phase_scan
 from .serialize import (
     FileFormatError,
-    load_finite_graph,
     load_grid_permuton,
     load_pattern,
     load_permutation,

@@ -9,7 +9,7 @@ injective (finite-graph) densities live in :func:`finite_density`.
 from __future__ import annotations
 
 import itertools
-import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,8 +19,9 @@ import numpy as np
 MASS_TOL = 1e-12
 DEFAULT_VERTEX_CAP = 6
 DEFAULT_MERGE_TOL = 1e-4
+BLOWUP_NODE_CAP = 20000
 
-_LETTERS = "abcdef"
+_LETTERS = string.ascii_letters  # one einsum index per pattern vertex
 
 
 class PatternTooLargeError(ValueError):
@@ -292,6 +293,8 @@ class ConstraintVector:
 
 def pattern_subscripts(pattern: SubgraphPattern) -> str:
     """einsum subscripts for the block-assignment sum of a pattern."""
+    if pattern.k > len(_LETTERS):
+        raise PatternTooLargeError(f"pattern has {pattern.k} vertices, einsum allows 52")
     idx = _LETTERS[: pattern.k]
     terms = list(idx)
     for u, v in pattern.all_edges:
@@ -472,13 +475,13 @@ def _pattern_kind(pattern: SubgraphPattern) -> tuple[str, int]:
     return ("generic", 0)
 
 
-def blowup(g: FiniteGraph, k: int, node_cap: int = 20000) -> FiniteGraph:
+def blowup(g: FiniteGraph, k: int) -> FiniteGraph:
     """Replace each node by a cluster of k nodes; clusters inherit edges and
-    stay internally unconnected."""
+    stay internally unconnected.  At most BLOWUP_NODE_CAP nodes result."""
     if k < 1:
         raise ValueError("blow-up factor must be >= 1")
-    if g.n * k > node_cap:
-        raise ValueError(f"blow-up would create {g.n * k} nodes, cap is {node_cap}")
+    if g.n * k > BLOWUP_NODE_CAP:
+        raise ValueError(f"blow-up would create {g.n * k} nodes, cap is {BLOWUP_NODE_CAP}")
     return FiniteGraph(np.kron(g.adjacency, np.ones((k, k), dtype=np.int32)))
 
 

@@ -59,7 +59,7 @@ def _box_sup(diff_weighted: np.ndarray) -> float:
     return best
 
 
-def cut_distance_upper(q1: StepGraphon, q2: StepGraphon, block_cap: int = BLOCK_CAP) -> float:
+def cut_distance_upper(q1: StepGraphon, q2: StepGraphon) -> float:
     """Upper bound on the cut distance: minimum over mass-preserving block
     permutations of the exact box supremum on the common refinement.
 
@@ -68,9 +68,9 @@ def cut_distance_upper(q1: StepGraphon, q2: StepGraphon, block_cap: int = BLOCK_
     """
     masses, v1, v2 = _refine_pair(q1, q2)
     m = masses.shape[0]
-    if m > block_cap:
+    if m > BLOCK_CAP:
         raise ValueError(
-            f"common refinement has {m} blocks, above the cap {block_cap} "
+            f"common refinement has {m} blocks, above the cap {BLOCK_CAP} "
             "(subset enumeration cost is 2^m); merge blocks first"
         )
     order = np.argsort(masses, kind="stable")

@@ -33,33 +33,33 @@ from .graphon import (
     SubgraphPattern,
     canonicalize,
     graphon_entropy,
-    DEFAULT_MERGE_TOL,
 )
 
 M_CAP = 16
 # see constrained_entropy: how close two infeasible closest approaches tie
 _RESIDUAL_TIE_RTOL = 1e-3
+_VALUE_FLOOR = 1e-9  # block values stay this far inside (0,1)
+_MASS_FLOOR = 1e-6  # and masses at least this large
+_ESCALATION_TOL = 1e-7  # an entropy gain below this is no gain in the m-escalation
+_SYMMETRIC_TOL = 5e-3  # how far a symmetric bipodal is from equal halves and diagonals
+_BASIN_TOL = 1e-3  # canonical solutions that round alike on this grid share a basin
+_PENALTY_INIT = 10.0  # each start's AL penalty, multiplied by _PENALTY_GROWTH
+_PENALTY_GROWTH = 5.0  # after every round that does not stop the start
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Tuning knobs for the augmented-Lagrangian multistart solver."""
+    """Solver settings that some caller sets: n_starts, seed, feasibility_tol
+    and m_max (the CLI's --starts, --seed, --tol, --m-max), max_outer and
+    max_inner (AL rounds, ascent steps per round; set by perfbench/warmup.py).
+    Fixed tolerances are constants of this module and of each geometry."""
 
     n_starts: int = 40
     seed: int = 0
     feasibility_tol: float = 1e-8
-    penalty_init: float = 10.0
-    penalty_growth: float = 5.0
     max_outer: int = 12
     max_inner: int = 300
-    value_floor: float = 1e-9
-    mass_floor: float = 1e-6
-    gtol: float = 1e-9
-    escalation_tol: float = 1e-7
     m_max: int = 6
-    merge_tol: float = DEFAULT_MERGE_TOL
-    symmetric_tol: float = 5e-3
-    basin_tol: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -280,11 +280,13 @@ class _GraphonGeometry:
     direction, `gain` the first-order gain of a step that the Armijo test asks
     a share of, and `finish` yields each final row as (point, objective,
     gaps).  `steps` holds the first trial step of a round and the largest
-    Barzilai-Borwein step, in the units of theta.  phases.permuton defines the
-    other geometry."""
+    Barzilai-Borwein step, in the units of theta; `gtol` is the stationarity
+    tolerance, on the projected-gradient step in theta.  phases.permuton
+    defines the other geometry."""
 
     keys = ("c", "p")
     steps = (0.05, 1e3)
+    gtol = 1e-9
 
     def __init__(self, objective, evals, targets, m, opts):
         self.objective, self.evals, self.targets, self.m, self.opts = (
@@ -292,8 +294,8 @@ class _GraphonGeometry:
 
     def start(self, c, p):
         (iu0, iu1), _ = _triu(self.m)
-        floor = self.opts.value_floor
-        return np.concatenate([c, np.clip(p[:, iu0, iu1], floor, 1.0 - floor)], axis=1)
+        return np.concatenate([c, np.clip(p[:, iu0, iu1], _VALUE_FLOOR, 1.0 - _VALUE_FLOOR)],
+                              axis=1)
 
     def point(self, theta):
         return theta[:, : self.m], _sym_from_triu(theta[:, self.m :], self.m)
@@ -306,9 +308,9 @@ class _GraphonGeometry:
 
     def project(self, theta):
         """Masses floored and renormalized, values kept inside (0,1)."""
-        m, opts = self.m, self.opts
-        w = np.maximum(theta[:, :m], opts.mass_floor)
-        u = np.minimum(np.maximum(theta[:, m:], opts.value_floor), 1.0 - opts.value_floor)
+        m = self.m
+        w = np.maximum(theta[:, :m], _MASS_FLOOR)
+        u = np.minimum(np.maximum(theta[:, m:], _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
         return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
 
     def grads(self, theta, lam, rho):
@@ -338,14 +340,14 @@ class _GraphonGeometry:
             else:
                 yield tuple(a[0] for a in self.point(theta[i : i + 1])), obj[i], g[i]
 
-    def polish(self, theta, max_iter=200):
+    def polish(self, theta):
         """Tangent-space ascent with Gauss-Newton feasibility restoration.
 
-        Sharpens a feasible AL solution, one row theta (1, m + T): steps along
-        the objective gradient projected onto the tangent space of the
-        constraint manifold, restoring t(q) = alpha after each step.  First-order
-        AL alone crawls along the manifold; this recovers the last digits.
-        Returns (point, objective, gaps)."""
+        Sharpens a feasible AL solution, one row theta (1, m + T): up to 200
+        steps along the objective gradient projected onto the tangent space of
+        the constraint manifold, restoring t(q) = alpha after each step.
+        First-order AL alone crawls along the manifold; this recovers the last
+        digits.  Returns (point, objective, gaps)."""
         (iu0, iu1), _ = _triu(self.m)
         evals, opts = self.evals, self.opts
         ridge = 1e-14 * np.eye(len(evals))
@@ -380,7 +382,7 @@ class _GraphonGeometry:
         cv, pv = split(theta)
         obj = self.objective.value(cv, pv)
         step = 0.05
-        for _ in range(max_iter if ok else 0):
+        for _ in range(200 if ok else 0):
             _, dv, dc = self.objective.value_and_grads(cv, pv)
             grad = np.concatenate([mass_chain_rule(cv, dc), dv[iu0, iu1]])
             _, jac = constraints_at(theta)
@@ -416,7 +418,7 @@ def _ascend(geo, theta, lam, rho, opts):
     out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
 
     def stationary(theta, grad):  # projected-gradient probe
-        return np.abs(geo.project(theta + grad) - theta).max(axis=1) < opts.gtol
+        return np.abs(geo.project(theta + grad) - theta).max(axis=1) < geo.gtol
 
     rows = np.arange(n)
     f, g, grad, obj = geo.grads(theta, lam, rho)
@@ -518,8 +520,8 @@ def _multistart(geo, starts, raw, opts):
     1e4 feasibility_tol and has not fallen by 30% over the last three rounds.
     The rule could fire from round 3, the first with three earlier rounds;
     from round 5 the round it compares with is round 2 or later, so rounds 0
-    and 1, where the penalty is still penalty_init (times growth) and the
-    multipliers have moved at most once, never judge a start."""
+    and 1, where the penalty is still _PENALTY_INIT (times _PENALTY_GROWTH)
+    and the multipliers have moved at most once, never judge a start."""
     pool = []
     if raw:
         pts = _stack(raw)
@@ -528,7 +530,7 @@ def _multistart(geo, starts, raw, opts):
     theta = geo.start(*_stack(starts))
     obj, g = geo.measure(*geo.point(theta))
     lam = np.zeros_like(g)
-    rho = np.full(len(theta), opts.penalty_init)
+    rho = np.full(len(theta), _PENALTY_INIT)
     running = np.ones(len(theta), dtype=bool)
     feas_hist: list[np.ndarray] = []
     for rnd in range(opts.max_outer):
@@ -543,7 +545,7 @@ def _multistart(geo, starts, raw, opts):
             stop |= (feas > 0.7 * feas_hist[-4]) & (feas > 1e4 * opts.feasibility_tol)
         running &= ~stop
         lam[running] += rho[running, None] * g[running]
-        rho[running] *= opts.penalty_growth
+        rho[running] *= _PENALTY_GROWTH
     pool += [_record(geo, *sol, opts) for sol in geo.finish(theta, g, obj)]
     feasible = [r for r in pool if r["feasible"]]
     if feasible:
@@ -554,7 +556,7 @@ def _multistart(geo, starts, raw, opts):
 def _random_starts(starts, m, opts, rng) -> None:
     """Fill starts up to opts.n_starts (Dirichlet masses, uniform values)."""
     while len(starts) < opts.n_starts:
-        cr = np.clip(rng.dirichlet(np.ones(m)), opts.mass_floor, None)
+        cr = np.clip(rng.dirichlet(np.ones(m)), _MASS_FLOOR, None)
         cr /= cr.sum()
         pr = rng.uniform(0.02, 0.98, (m, m))
         starts.append((cr, (pr + pr.T) / 2.0))
@@ -573,7 +575,7 @@ def _start_list(seeds, m, opts, rng):
         starts.append(emb)
         if m > 1:
             cj = emb[0] * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, m))
-            cj = np.clip(cj, opts.mass_floor, None)
+            cj = np.clip(cj, _MASS_FLOOR, None)
             cj /= cj.sum()
             noise = rng.uniform(-0.05, 0.05, (m, m))
             pj = np.clip(emb[1] + (noise + noise.T) / 2.0, 0.0, 1.0)
@@ -582,13 +584,13 @@ def _start_list(seeds, m, opts, rng):
     return starts, raw
 
 
-def _result_from_solution(c, p, residuals, feasible, constraints, opts, m, spread):
-    q = canonicalize(StepGraphon(c, p), opts.merge_tol)
+def _result_from_solution(c, p, residuals, feasible, m, spread):
+    q = canonicalize(StepGraphon(c, p))
     pod = q.m
     sym = bool(
         pod == 2
-        and abs(q.masses[0] - 0.5) <= opts.symmetric_tol
-        and abs(q.values[0, 0] - q.values[1, 1]) <= opts.symmetric_tol
+        and abs(q.masses[0] - 0.5) <= _SYMMETRIC_TOL
+        and abs(q.values[0, 0] - q.values[1, 1]) <= _SYMMETRIC_TOL
     )
     return OptimizerResult(
         graphon=q,
@@ -603,13 +605,12 @@ def _result_from_solution(c, p, residuals, feasible, constraints, opts, m, sprea
     )
 
 
-def _basin_key(c, p, opts):
-    q = canonicalize(StepGraphon(c, p), opts.merge_tol)
-    tol = opts.basin_tol
+def _basin_key(c, p):
+    q = canonicalize(StepGraphon(c, p))
     return (
         q.m,
-        tuple(np.round(q.masses / tol).astype(int).tolist()),
-        tuple(np.round(q.values / tol).astype(int).reshape(-1).tolist()),
+        tuple(np.round(q.masses / _BASIN_TOL).astype(int).tolist()),
+        tuple(np.round(q.values / _BASIN_TOL).astype(int).reshape(-1).tolist()),
     )
 
 
@@ -636,12 +637,12 @@ def maximize_entropy(
     geo = _GraphonGeometry(EntropyObjective, evals, targets, m, opts)
     best, pool = _multistart(geo, starts, raw, opts)
     # spread: best against the best feasible solution in another basin
-    key = _basin_key(best["c"], best["p"], opts) if best["feasible"] else None
+    key = _basin_key(best["c"], best["p"]) if best["feasible"] else None
     others = [r["objective"] for r in pool if r["feasible"] and r is not best
-              and _basin_key(r["c"], r["p"], opts) != key]
+              and _basin_key(r["c"], r["p"]) != key]
     spread = float(best["objective"] - max(others)) if others else None
     return _result_from_solution(
-        best["c"], best["p"], best["residuals"], best["feasible"], constraints, opts, m, spread
+        best["c"], best["p"], best["residuals"], best["feasible"], m, spread
     )
 
 
@@ -651,7 +652,7 @@ def constrained_entropy(
     extra_seeds: tuple[StepGraphon, ...] = (),
 ) -> OptimizerResult:
     """m-escalation wrapper: runs maximize_entropy for m = 1, 2, ... until the
-    entropy gain stays below escalation_tol for two consecutive sizes, then
+    entropy gain stays below _ESCALATION_TOL for two consecutive sizes, then
     reports the smallest m whose entropy reaches the best value (minimal
     podality at the optimum).  With no feasible m it reports the smallest m
     whose worst residual ties the smallest one."""
@@ -667,7 +668,7 @@ def constrained_entropy(
         if res.feasible:
             if prev_feasible is not None:
                 gain = res.entropy - prev_feasible.entropy
-                small_gains = small_gains + 1 if gain < opts.escalation_tol else 0
+                small_gains = small_gains + 1 if gain < _ESCALATION_TOL else 0
             if prev_feasible is None or res.entropy > prev_feasible.entropy:
                 prev_feasible = res
             if small_gains >= 2:
@@ -682,7 +683,7 @@ def constrained_entropy(
         return next(r for r, w in zip(results, worst) if w <= tie)
     s_star = max(r.entropy for r in feas)
     for r in feas:
-        if r.entropy >= s_star - opts.escalation_tol:
+        if r.entropy >= s_star - _ESCALATION_TOL:
             return r
     return feas[-1]
 
@@ -708,7 +709,7 @@ def bounded_signed_max(
     _random_starts(starts, m, opts, np.random.default_rng(opts.seed))
     geo = _GraphonGeometry(DensityEvaluator(objective), evals, targets, m, opts)
     best, _ = _multistart(geo, starts, raw, opts)
-    q = canonicalize(StepGraphon(best["c"], best["p"]), opts.merge_tol)
+    q = canonicalize(StepGraphon(best["c"], best["p"]))
     return SignedMaxResult(
         best["objective"], q, float(best["residuals"].max()), best["feasible"], m
     )

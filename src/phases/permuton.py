@@ -278,16 +278,24 @@ class _PatternDensity:
         return fact * val, (fact / scale * dg if grad else None)
 
 
-def _matches(ranks: np.ndarray, pattern: StarPattern) -> np.ndarray:
-    """Whether each row of ranks (values 1..k) is a completion of the pattern."""
+def _matches(rows: np.ndarray, pattern: StarPattern) -> np.ndarray:
+    """Whether the order type of each row of rows (..., k), whose entries are
+    distinct, is a completion of the pattern.
 
-    def codes(r):  # the ranks as base-(k+1) digits
-        out = np.zeros(r.shape[:-1], dtype=np.int64)
-        for t in range(pattern.k):
-            out = out * (pattern.k + 1) + r[..., t]
+    A row's code has one bit per pair i < j of positions, set when
+    row[i] < row[j]; it is looked up in a table that marks the codes of the
+    completions."""
+    pairs = list(itertools.combinations(range(pattern.k), 2))
+
+    def codes(r):
+        out = np.zeros(r.shape[:-1], dtype=np.intp)
+        for bit, (i, j) in enumerate(pairs):
+            out |= (r[..., i] < r[..., j]).astype(np.intp) << bit
         return out
 
-    return np.isin(codes(ranks), codes(np.array(pattern.completions())))
+    table = np.zeros(1 << len(pairs), dtype=bool)
+    table[codes(np.array(pattern.completions()))] = True
+    return table[codes(rows)]
 
 
 def permuton_pattern_density(
@@ -323,9 +331,7 @@ def permuton_pattern_density(
         x = (ix + rng.random((samples, k))) / res
         y = (iy + rng.random((samples, k))) / res
         order = np.argsort(x, axis=1)
-        ysorted = np.take_along_axis(y, order, axis=1)
-        ranks = np.argsort(np.argsort(ysorted, axis=1), axis=1) + 1
-        return float(_matches(ranks, pattern).mean())
+        return float(_matches(np.take_along_axis(y, order, axis=1), pattern).mean())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -370,14 +376,17 @@ def project_uniform_marginals(
 
 @dataclass(frozen=True)
 class PermutonOptimizerOptions:
+    """Solver settings that some caller sets: n_starts and seed (the CLI's
+    perm-optimize --starts, --seed), feasibility_tol (perfbench/workloads.py
+    checks solutions against it), max_outer and max_inner (AL rounds, ascent
+    steps per round; set by perfbench/warmup.py).  The penalty schedule is
+    phases.optimizer's, the stationarity tolerance _PermutonGeometry.gtol."""
+
     n_starts: int = 16
     seed: int = 0
     feasibility_tol: float = 1e-8
-    penalty_init: float = 10.0
-    penalty_growth: float = 5.0
     max_outer: int = 12
     max_inner: int = 400
-    gtol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -416,10 +425,12 @@ class _PermutonGeometry:
     step in g, and the projection restores uniform marginals by Sinkhorn
     scaling, which is itself multiplicative.  Trial points get at most 400
     Sinkhorn sweeps; finish runs the tight projection and recomputes entropy
-    and gaps."""
+    and gaps.  `steps` and `gtol` mean what they mean for
+    phases.optimizer._GraphonGeometry, in units of log g."""
 
     keys = ("g",)
     steps = (0.5, 50.0)
+    gtol = 1e-10
 
     def __init__(self, constraints, res: int):
         self.evals = [_PatternDensity(p, res) for p, _ in constraints]
@@ -546,8 +557,7 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
             raise ValueError(f"pattern length {k} above cap {cap}")
         counts = np.zeros(total, dtype=np.int64)
         for combo in itertools.combinations(range(n), k):
-            sub = perms[:, combo]
-            counts += _matches(np.argsort(np.argsort(sub, axis=1), axis=1) + 1, pattern)
+            counts += _matches(perms[:, combo], pattern)
         b = math.comb(n, k)
         lo_f = decimal_fraction(alpha) - decimal_fraction(delta)
         hi_f = decimal_fraction(alpha) + decimal_fraction(delta)

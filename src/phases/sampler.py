@@ -22,7 +22,7 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -418,11 +418,9 @@ class BlockEstimate:
     labels: np.ndarray
 
 
-def estimate_block_structure(
-    g: FiniteGraph, m: int, restarts: int = 10, seed: int = 0
-) -> BlockEstimate:
+def estimate_block_structure(g: FiniteGraph, m: int, seed: int = 0) -> BlockEstimate:
     """Cluster nodes by adjacency-row profiles (Lloyd's algorithm, k-means++
-    seeding, restarted) and return cluster masses and inter-cluster edge
+    seeding, best of 10 restarts) and return cluster masses and inter-cluster edge
     frequencies.  Empty clusters are dropped, so the result can have fewer
     than m blocks (duplicate-row graphs).
 
@@ -438,7 +436,7 @@ def estimate_block_structure(
     n = g.n
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(10):
         centers = _kmeanspp(rows, m, rng)
         labels = None
         for _it in range(100):

@@ -19,6 +19,7 @@ from .svg import heatmap_svg
 
 RESOLUTION_CAP = 200
 PARAM_NAMES = ("a", "b", "d", "c_small")
+AXIS_LABELS = ("eps", "tau")  # CSV header and SVG axis labels
 SPIKE_FACTOR = 10.0
 
 
@@ -60,8 +61,6 @@ class PhaseMap:
     """Scan output: per-cell optimizer summaries plus transition candidates."""
 
     model: str
-    x_label: str
-    y_label: str
     x_values: np.ndarray
     y_values: np.ndarray
     cells: list[list[ScanCell]]  # indexed [ix][iy]
@@ -97,7 +96,7 @@ class PhaseMap:
 
     def to_csv(self, path: str) -> None:
         cols = (
-            [self.x_label, self.y_label, "feasible", "failed", "entropy", "podality"]
+            [*AXIS_LABELS, "feasible", "failed", "entropy", "podality"]
             + list(PARAM_NAMES)
             + [
                 "symmetric_bipodal",
@@ -141,8 +140,8 @@ class PhaseMap:
             self.x_values,
             self.y_values,
             title=f"{self.model}: {field_name}",
-            x_label=self.x_label,
-            y_label=self.y_label,
+            x_label=AXIS_LABELS[0],
+            y_label=AXIS_LABELS[1],
         )
         with open(path, "w") as fh:
             fh.write(doc + "\n")
@@ -181,8 +180,6 @@ def phase_scan(
     opts: OptimizerOptions | None = None,
     spike_factor: float = SPIKE_FACTOR,
     model: str = "edge-triangle",
-    x_label: str = "eps",
-    y_label: str = "tau",
 ) -> PhaseMap:
     """Scan the constraint rectangle; infeasible and failed cells are recorded
     (never dropped).  Cells are solved one after another, column by column,
@@ -210,26 +207,15 @@ def phase_scan(
             if cells[ix][iy].feasible:
                 params[ix, iy] = cells[ix][iy].params
 
-    def centered(axis: int) -> np.ndarray:
-        out = np.full((nx, ny), np.nan)
-        step = (xs[1] - xs[0]) if axis == 0 and nx > 1 else (
-            (ys[1] - ys[0]) if axis == 1 and ny > 1 else None
-        )
-        if step is None or step == 0:
+    def centered(axis: int, values: np.ndarray) -> np.ndarray:
+        # centered differences inside, one-sided at the edges
+        step = values[1] - values[0] if len(values) > 1 else 0.0
+        if step == 0:
             return np.zeros((nx, ny))
-        fwd = np.roll(params, -1, axis=axis)
-        bwd = np.roll(params, 1, axis=axis)
-        d = np.abs((fwd - bwd) / (2 * step)).max(axis=2)
-        if axis == 0:
-            d[0, :] = np.abs((params[1] - params[0]) / step).max(axis=1)
-            d[-1, :] = np.abs((params[-1] - params[-2]) / step).max(axis=1)
-        else:
-            d[:, 0] = np.abs((params[:, 1] - params[:, 0]) / step).max(axis=1)
-            d[:, -1] = np.abs((params[:, -1] - params[:, -2]) / step).max(axis=1)
-        return d
+        return np.abs(np.gradient(params, step, axis=axis)).max(axis=2)
 
-    deriv_x = centered(0)
-    deriv_y = centered(1)
+    deriv_x = centered(0, xs)
+    deriv_y = centered(1, ys)
     transition = np.zeros((nx, ny), dtype=bool)
     for d in (deriv_x, deriv_y):
         finite = d[np.isfinite(d)]
@@ -239,8 +225,6 @@ def phase_scan(
             transition |= np.nan_to_num(d, nan=0.0) > cut
     return PhaseMap(
         model=model,
-        x_label=x_label,
-        y_label=y_label,
         x_values=xs,
         y_values=ys,
         cells=cells,

@@ -31,6 +31,15 @@ def test_reference_and_density(tmp_path, capsys):
     assert doc["density"] == pytest.approx(0.1, abs=1e-12)
 
 
+def test_density_with_raised_vertex_cap(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(StepGraphon.constant(0.5).to_dict()))
+    assert run(tmp_path, "density", "--graphon", str(path), "--pattern", "cycle:7",
+               "--vertex-cap", "7") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["density"] == pytest.approx(0.5**7, abs=1e-15)
+
+
 def test_entropy_command(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(StepGraphon.constant(0.5).to_dict()))

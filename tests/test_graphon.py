@@ -120,6 +120,14 @@ class TestSubgraphDensity:
         with pytest.raises(PatternTooLargeError):
             subgraph_density(StepGraphon.constant(0.5), SubgraphPattern.complete(7))
 
+    def test_raised_vertex_cap_evaluates_seven_vertices(self):
+        q = StepGraphon.constant(0.5)
+        assert subgraph_density(q, SubgraphPattern.cycle(7), vertex_cap=7) == 0.5**7
+
+    def test_pattern_beyond_einsum_letters_rejected_whatever_the_cap(self):
+        with pytest.raises(PatternTooLargeError):
+            subgraph_density(StepGraphon.constant(0.5), SubgraphPattern.cycle(53), vertex_cap=100)
+
 
 class TestKStar:
     def test_on_er_curve(self):

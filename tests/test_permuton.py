@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phases.permuton import (
     GridPermuton,
     Permutation,
     PermutonOptimizerOptions,
     StarPattern,
+    _matches,
+    _rank_tuple,
     count_constrained_perms,
     maximize_permuton_entropy,
     perm_pattern_density,
@@ -249,16 +253,31 @@ class TestCounting:
         assert rep.count == 120
         assert rep.log_normalized == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_brute_force(self):
+    @pytest.mark.parametrize("pattern", ["123", "12", "21", "132", "1*3"])
+    def test_matches_brute_force(self, pattern):
         # independent oracle: score each permutation directly
+        pat = StarPattern.parse(pattern)
         n, alpha, delta = 5, 0.4, 0.15
         brute = 0
         for vals in itertools.permutations(range(1, n + 1)):
-            d = perm_pattern_density(Permutation(vals), P123)
+            d = perm_pattern_density(Permutation(vals), pat)
             if abs(d - Fraction(str(alpha))) < Fraction(str(delta)):
                 brute += 1
-        rep = count_constrained_perms(n, [(P123, alpha)], delta)
+        rep = count_constrained_perms(n, [(pat, alpha)], delta)
         assert rep.count == brute
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(1, 6))
+    def test_order_type_lookup_matches_rank_tuples(self, data, k):
+        symbols = data.draw(st.permutations(range(1, k + 1)))
+        stars = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        pattern = StarPattern(tuple(None if s else v for v, s in zip(symbols, stars)))
+        rows = data.draw(st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k, unique=True),
+            min_size=1, max_size=30))
+        wanted = set(pattern.completions())
+        expect = [_rank_tuple(row) in wanted for row in rows]
+        assert _matches(np.array(rows), pattern).tolist() == expect
 
     def test_star_pattern_counting(self):
         star = StarPattern.parse("*2*")
