@@ -16,12 +16,21 @@ hopeless-start stops and the best-pick.  A geometry object supplies the
 rest: `_GraphonGeometry` here (theta = masses and upper-triangle values,
 feasible rows polished), and `phases.permuton._PermutonGeometry` (theta =
 log of a grid permuton, Sinkhorn projection onto uniform marginals).
+
+`constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
+at a feasible m whose best graphon passes a block-insertion certificate: the
+multipliers fit the KKT equations and no new block of infinitesimal mass,
+whatever its row, raises the Lagrangian to first order (the vertex form of
+the Euler-Lagrange equations of Radin & Sadun 2013 and Kenyon, Radin, Ren &
+Sadun 2017).  The row is searched by the same driver's ascent, on
+`_InsertionGeometry`.  Where the certificate fails, the escalation stops
+after two sizes without gain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +45,7 @@ from .graphon import (
 )
 
 M_CAP = 16
-# see constrained_entropy: how close two infeasible closest approaches tie
+# see _ties: how close two infeasible closest approaches tie
 _RESIDUAL_TIE_RTOL = 1e-3
 _VALUE_FLOOR = 1e-9  # block values stay this far inside (0,1)
 _MASS_FLOOR = 1e-6  # and masses at least this large
@@ -45,6 +54,19 @@ _SYMMETRIC_TOL = 5e-3  # how far a symmetric bipodal is from equal halves and di
 _BASIN_TOL = 1e-3  # canonical solutions that round alike on this grid share a basin
 _PENALTY_INIT = 10.0  # each start's AL penalty, multiplied by _PENALTY_GROWTH
 _PENALTY_GROWTH = 5.0  # after every round that does not stop the start
+# The block-insertion certificate (_insertion_certificate).  Moving mass
+# delta <= 1 onto a new block raises the Lagrangian by delta * gain + O(delta^2),
+# so a gain at most _ESCALATION_TOL starts no m + 1 gain that the escalation
+# would count.  The cells it stops on the optimize panel, the criterion 2
+# and 3 targets and the bench scan tile read gains below 1e-15 and KKT
+# residuals below 3e-13; on a 64-target edge/triangle grid, stops read at
+# most 6e-12 and 4e-10, and m + 1 then gains at most 2e-10.  Criterion 6's
+# (0.5, 0.15), where m = 3 still gains 7e-10, reads 9e-7 and 2e-6.
+_INSERTION_TOL = _ESCALATION_TOL
+_KKT_TOL = 1e-9
+_INSERTION_MASS = 2.0**-30  # new-block mass at which its row gradient is read
+_INSERTION_RANDOM_ROWS = 4  # random rows the ascent starts from, with the old rows
+_INSERTION_STEPS = 15  # ascent steps per row
 
 
 @dataclass(frozen=True)
@@ -75,6 +97,9 @@ class OptimizerResult:
     multistart_spread: float | None
     feasible: bool
     m: int
+    # largest first-order gain of inserting a block (see constrained_entropy);
+    # None where no certificate ran
+    insertion_gain: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -89,6 +114,7 @@ class OptimizerResult:
             "multistart_spread": self.multistart_spread,
             "feasible": self.feasible,
             "m": self.m,
+            "insertion_gain": self.insertion_gain,
         }
 
 
@@ -646,41 +672,148 @@ def maximize_entropy(
     )
 
 
+class _InsertionGeometry:
+    """Rows r in [0,1]^k of a block inserted into the k-block graphon (c, p),
+    for the AL driver's ascent with no constraints: a row's objective is the
+    new block's component of mass_chain_rule(c', dL/dc') at mass 0, for
+    L = S - lam . t, the first-order gain of moving mass onto that block.
+    Its gradient in r vanishes with the block's mass, so it is read as the
+    new row's value gradient at mass _INSERTION_MASS over that mass, which is
+    exact up to a relative O(_INSERTION_MASS)."""
+
+    steps = _GraphonGeometry.steps
+    gtol = _GraphonGeometry.gtol
+
+    def __init__(self, c, p, evals, lam):
+        self.c, self.p, self.evals, self.lam = c, p, evals, lam
+
+    def point(self, theta):
+        return (theta,)
+
+    def project(self, theta):
+        return np.minimum(np.maximum(theta, _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
+
+    def _lagrangian(self, r, mass):
+        """(c', dL/dV', dL/dc') of the (k+1)-block embeddings with new rows r
+        and new-block masses mass, one per row."""
+        n, k = r.shape
+        c = np.concatenate([np.broadcast_to(self.c, (n, k)), mass[:, None]], axis=1)
+        p = np.empty((n, k + 1, k + 1))
+        p[:, :k, :k] = self.p
+        p[:, k, :k] = p[:, :k, k] = r
+        p[:, k, k] = 0.5  # enters L at second order in the new mass only
+        _, dv, dc = EntropyObjective.value_and_grads(c, p)
+        for lam_j, ev in zip(self.lam, self.evals):
+            _, dvj, dcj = ev.value_and_grads(c, p)
+            dv, dc = dv - lam_j * dvj, dc - lam_j * dcj
+        return c, dv, dc
+
+    def measure(self, r):
+        c, _, dc = self._lagrangian(r, np.zeros(len(r)))
+        return mass_chain_rule(c, dc)[:, -1], np.empty((len(r), 0))
+
+    def grads(self, theta, lam, rho):
+        n, k = theta.shape
+        mass = np.repeat([0.0, _INSERTION_MASS], n)
+        c, dv, dc = self._lagrangian(np.concatenate([theta, theta]), mass)
+        gain = mass_chain_rule(c[:n], dc[:n])[:, -1]
+        return gain, np.empty((n, 0)), dv[n:, k, :k] / _INSERTION_MASS, gain
+
+    def gain(self, grad, theta_0, theta):
+        return _dot(grad, theta - theta_0)
+
+
+def _multipliers(q: StepGraphon, evals) -> tuple[np.ndarray, float]:
+    """(lam, KKT residual) at q: lam solves grad S = J^T lam in the
+    least-squares sense, in the coordinates theta of _GraphonGeometry (masses
+    through mass_chain_rule, upper-triangle values), from the normal
+    equations with polish's ridge (np.linalg.lstsq pages in another 1 MB of
+    LAPACK); the residual is |grad S - J^T lam|_inf."""
+    c, p = q.masses, q.values
+    (iu0, iu1), _ = _triu(q.m)
+
+    def theta_grad(ev):
+        _, dv, dc = ev.value_and_grads(c, p)
+        return np.concatenate([mass_chain_rule(c, dc), dv[iu0, iu1]])
+
+    grad = theta_grad(EntropyObjective)
+    jac = np.array([theta_grad(ev) for ev in evals])
+    lam = np.linalg.solve(jac @ jac.T + 1e-14 * np.eye(len(evals)), jac @ grad)
+    return lam, float(np.abs(grad - jac.T @ lam).max())
+
+
+def _insertion_certificate(q: StepGraphon, evals) -> tuple[float, bool]:
+    """(largest insertion gain, whether q is certified) at a feasible graphon q.
+
+    With the multipliers of _multipliers, the gain of a new block of mass 0
+    and row r is maximized over r in [0,1]^k by a batched projected ascent
+    from q's own rows, whose gains are the mass components of the KKT
+    residual, and _INSERTION_RANDOM_ROWS seeded random rows.  q is certified
+    when its KKT residual is at most _KKT_TOL and the gain at most
+    _INSERTION_TOL.  A local, first-order test (the vertex form of the
+    Euler-Lagrange equations): it says that no block insertion raises the
+    entropy to first order, not that no larger m does better."""
+    lam, kkt = _multipliers(q, evals)
+    geo = _InsertionGeometry(q.masses, q.values, evals, lam)
+    rows = np.concatenate(
+        [q.values, np.random.default_rng(0).uniform(0.0, 1.0, (_INSERTION_RANDOM_ROWS, q.m))])
+    n = len(rows)
+    _, _, gains = _ascend(geo, geo.project(rows), np.zeros((n, 0)), np.zeros(n),
+                          OptimizerOptions(max_inner=_INSERTION_STEPS))
+    gain = float(gains.max())
+    return gain, kkt <= _KKT_TOL and gain <= _INSERTION_TOL
+
+
+def _ties(a: float, b: float, opts) -> bool:
+    """Whether worst residual a ties b.  Runs on an infeasible target stop as
+    hopeless before they converge, so worst residuals within a relative
+    _RESIDUAL_TIE_RTOL of each other say nothing about m."""
+    return a <= b * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
+
+
 def constrained_entropy(
     constraints: ConstraintVector,
     opts: OptimizerOptions | None = None,
     extra_seeds: tuple[StepGraphon, ...] = (),
 ) -> OptimizerResult:
-    """m-escalation wrapper: runs maximize_entropy for m = 1, 2, ... until the
-    entropy gain stays below _ESCALATION_TOL for two consecutive sizes, then
-    reports the smallest m whose entropy reaches the best value (minimal
-    podality at the optimum).  With no feasible m it reports the smallest m
-    whose worst residual ties the smallest one."""
+    """m-escalation wrapper: runs maximize_entropy for m = 1, 2, ... up to
+    opts.m_max and reports the smallest m whose entropy reaches the best
+    value within _ESCALATION_TOL (minimal podality at the optimum); with no
+    feasible m, the smallest m whose worst residual ties the smallest one.
+
+    Each feasible m that sets a new best entropy gets the block-insertion
+    certificate (_insertion_certificate), its gain recorded as the result's
+    insertion_gain, and the escalation stops there if it passes.  Otherwise
+    it stops after two consecutive sizes that gain less than _ESCALATION_TOL
+    or, while no size is feasible, after two consecutive sizes whose worst
+    residual the smallest one so far ties."""
     opts = opts or OptimizerOptions()
+    evals = [DensityEvaluator(p) for p in constraints.patterns]
     results: list[OptimizerResult] = []
     prev_feasible: OptimizerResult | None = None
-    small_gains = 0
+    small_gains = stale = 0
     for m in range(1, opts.m_max + 1):
         seeds = (prev_feasible.graphon,) if prev_feasible is not None else ()
         seeds = seeds + tuple(extra_seeds)
         res = maximize_entropy(constraints, m, opts, extra_seeds=seeds)
-        results.append(res)
+        certified = False
         if res.feasible:
             if prev_feasible is not None:
                 gain = res.entropy - prev_feasible.entropy
                 small_gains = small_gains + 1 if gain < _ESCALATION_TOL else 0
             if prev_feasible is None or res.entropy > prev_feasible.entropy:
-                prev_feasible = res
-            if small_gains >= 2:
-                break
+                insertion, certified = _insertion_certificate(res.graphon, evals)
+                res = prev_feasible = replace(res, insertion_gain=insertion)
+        elif prev_feasible is None and results:
+            best = min(max(r.residuals) for r in results)
+            stale = stale + 1 if _ties(best, max(res.residuals), opts) else 0
+        results.append(res)
+        if certified or small_gains >= 2 or stale >= 2:
+            break
     feas = [r for r in results if r.feasible]
     if not feas:
-        # the smallest m whose closest approach ties the closest: runs on an
-        # infeasible target stop as hopeless before they converge, so worst
-        # residuals within a relative _RESIDUAL_TIE_RTOL say nothing about m
         worst = [max(r.residuals) for r in results]
-        tie = min(worst) * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
-        return next(r for r, w in zip(results, worst) if w <= tie)
+        return next(r for r, w in zip(results, worst) if _ties(w, min(worst), opts))
     s_star = max(r.entropy for r in feas)
     for r in feas:
         if r.entropy >= s_star - _ESCALATION_TOL:

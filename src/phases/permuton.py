@@ -335,22 +335,20 @@ def permuton_pattern_density(
     raise ValueError(f"unknown method {method!r}")
 
 
-def project_uniform_marginals(
-    g: np.ndarray, tol: float = MARGINAL_TOL, max_iter: int = 5000
-) -> np.ndarray:
+def project_uniform_marginals(g: np.ndarray, max_iter: int = 5000) -> np.ndarray:
     """Alternating row/column renormalization onto the uniform-marginal
     manifold (row and column sums equal to the resolution), of one grid
-    (k, k) or of each grid of a batch (B, k, k).  A grid already within
-    tolerance is returned unchanged.  Each grid stops once within tolerance,
-    so a grid of a batch ends as it would alone.  A column step leaves the
-    column sums exact up to rounding, so after the first sweep only the row
-    sums are tested."""
+    (k, k) or of each grid of a batch (B, k, k).  A grid whose sums are
+    already within MARGINAL_TOL k of k is returned unchanged.  Each grid
+    stops once within that tolerance, so a grid of a batch ends as it would
+    alone.  A column step leaves the column sums exact up to rounding, so
+    after the first sweep only the row sums are tested."""
     out = np.clip(np.asarray(g, dtype=float), 0.0, None)
     grids = out.reshape(-1, *out.shape[-2:])
     k = out.shape[-1]
 
     def off(sums):
-        return np.abs(sums - k).max(axis=-1) > tol * k
+        return np.abs(sums - k).max(axis=-1) > MARGINAL_TOL * k
 
     rows = grids.sum(axis=-1)
     busy = off(rows) | off(grids.sum(axis=-2))
@@ -536,6 +534,18 @@ class PermCountReport:
         }
 
 
+def _all_perms(n: int) -> np.ndarray:
+    """All n! permutations of 1..n as int8 rows, in the lexicographic order
+    of itertools.permutations: the rows starting with f are f followed by
+    the table of n - 1, its values from f up shifted by one."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), len(table))[:, None]
+        rest = np.tile(table, (k, 1))
+        table = np.concatenate([first, rest + (rest >= first)], axis=1)
+    return table + np.int8(1)
+
+
 def count_constrained_perms(n: int, constraints, delta: float) -> PermCountReport:
     """Exhaustively count permutations in S_n whose pattern densities lie
     strictly inside (alpha_j - delta, alpha_j + delta); density comparisons
@@ -545,7 +555,7 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
     if n < 1:
         raise ValueError("n must be positive")
     constraints = [(p, float(t)) for p, t in constraints]
-    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    perms = _all_perms(n)
     total = perms.shape[0]
     ok = np.ones(total, dtype=bool)
     for pattern, alpha in constraints:

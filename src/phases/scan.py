@@ -38,6 +38,7 @@ class ScanCell:
     constant: bool = False
     residual_max: float = math.nan
     spread: float | None = None
+    insertion_gain: float | None = None
     graphon: StepGraphon | None = None
 
 
@@ -103,6 +104,7 @@ class PhaseMap:
                 "constant",
                 "residual_max",
                 "multistart_spread",
+                "insertion_gain",
                 "deriv_x",
                 "deriv_y",
                 "transition",
@@ -126,6 +128,7 @@ class PhaseMap:
                     str(int(c.constant)),
                     f"{c.residual_max:.17g}",
                     "" if c.spread is None else f"{c.spread:.17g}",
+                    "" if c.insertion_gain is None else f"{c.insertion_gain:.17g}",
                     f"{self.deriv_x[ix, iy]:.17g}",
                     f"{self.deriv_y[ix, iy]:.17g}",
                     str(int(self.transition[ix, iy])),
@@ -163,6 +166,7 @@ def _solve_cell(patterns, x, y, opts, seeds):
         podality=res.podality if res.feasible else 0,
         residual_max=max(res.residuals) if res.residuals else 0.0,
         spread=res.multistart_spread,
+        insertion_gain=res.insertion_gain,
         symmetric_bipodal=res.symmetric_bipodal,
         constant=res.constant,
         graphon=res.graphon if res.feasible else None,

@@ -37,9 +37,9 @@ def heatmap_svg(
     values,
     x_values,
     y_values,
-    title: str = "",
-    x_label: str = "x",
-    y_label: str = "y",
+    title: str,
+    x_label: str,
+    y_label: str,
     cell_px: int = 12,
     stops: tuple[str, ...] = VIRIDIS_STOPS,
 ) -> str:

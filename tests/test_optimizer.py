@@ -11,8 +11,16 @@ from phases.graphon import (
     graphon_entropy,
     subgraph_density,
 )
+from phases import optimizer
+from phases.gradients import DensityEvaluator
 from phases.optimizer import (
+    _ESCALATION_TOL,
+    _INSERTION_TOL,
+    _KKT_TOL,
     OptimizerOptions,
+    _insertion_certificate,
+    _InsertionGeometry,
+    _multipliers,
     bounded_signed_max,
     constrained_entropy,
     maximize_entropy,
@@ -21,6 +29,8 @@ from phases.optimizer import (
 )
 
 FAST = OptimizerOptions(n_starts=8, seed=7, m_max=4)
+PANEL = OptimizerOptions(n_starts=8, m_max=6)  # the benchmark's optimize panel
+SCAN = OptimizerOptions(n_starts=4, seed=13, m_max=3)  # test_scan.py
 
 EDGE = SubgraphPattern.edge()
 TRI = SubgraphPattern.triangle()
@@ -171,15 +181,159 @@ class TestConstrainedEntropy:
         assert not res.feasible
 
     def test_infeasible_target_reports_smallest_tying_podality(self):
-        # above the clique curve tau = eps^1.5, m = 2, 3, 4 and 6 reach worst
-        # residual 0.020931418 and m = 5 reaches 0.020931312, with a 5-podal
-        # graphon; that 1e-7 difference must not set the reported podality
+        # above the clique curve tau = eps^1.5, m = 2, 3 and 4 reach worst
+        # residual 0.020931418; were m = 5 run, its 0.020931312 (a 5-podal
+        # graphon) differs by 1e-7, which must not set the reported podality
         res = constrained_entropy(
             ConstraintVector.edge_triangle(0.3, 0.2), OptimizerOptions(n_starts=8, m_max=6)
         )
         assert not res.feasible
         assert res.podality == 2
         assert max(res.residuals) == pytest.approx(0.0209314, abs=1e-6)
+
+
+def _solved_ms(monkeypatch):
+    """The m of every maximize_entropy call constrained_entropy makes, with
+    its result."""
+    calls = []
+    inner = optimizer.maximize_entropy
+
+    def record(cons, m, *args, **kwargs):
+        calls.append((m, inner(cons, m, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(optimizer, "maximize_entropy", record)
+    return calls
+
+
+def test_infeasible_escalation_stops_after_two_tying_sizes(monkeypatch):
+    # m = 3 and 4 tie m = 2's worst residual, so m = 5 and 6 are not run
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(
+        ConstraintVector.edge_triangle(0.3, 0.2), OptimizerOptions(n_starts=8, m_max=6)
+    )
+    assert [m for m, _ in calls] == [1, 2, 3, 4]
+    assert not res.feasible and res.podality == 2
+    assert res.insertion_gain is None
+
+
+def _lagrangian(q, pats, lam):
+    return graphon_entropy(q) - sum(l * subgraph_density(q, pat) for l, pat in zip(lam, pats))
+
+
+def _inserted(c, p, r, delta):
+    """(c, p) with a block of mass delta and row r, the others shrunk by 1 - delta."""
+    k = len(c)
+    p2 = np.zeros((k + 1, k + 1))
+    p2[:k, :k] = p
+    p2[k, :k] = p2[:k, k] = r
+    p2[k, k] = 0.5
+    return StepGraphon(np.append((1.0 - delta) * c, delta), p2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_insertion_gain_is_the_derivative_of_inserting_a_block(m):
+    rng = np.random.default_rng(900 + m)
+    pats = [EDGE, TRI, SubgraphPattern.star(2), SubgraphPattern.cycle(4)]
+    evals = [DensityEvaluator(pat) for pat in pats]
+    for _ in range(4):
+        c = rng.dirichlet(np.full(m, 2.0))
+        p = rng.uniform(0.05, 0.95, (m, m))
+        p = (p + p.T) / 2.0
+        lam = rng.normal(size=len(pats))
+        geo = _InsertionGeometry(c, p, evals, lam)
+        rows = rng.uniform(0.0, 1.0, (5, m))
+        gain = geo.measure(rows)[0]
+        base = _lagrangian(StepGraphon(c, p), pats, lam)
+        delta = 1e-6
+        for r, g in zip(rows, gain):
+            fd = [(_lagrangian(_inserted(c, p, r, d), pats, lam) - base) / d
+                  for d in (delta, 2 * delta)]
+            assert g == pytest.approx(2.0 * fd[0] - fd[1], abs=1e-7)
+        # the ascent's gradient in r is that of the gain
+        grad = geo.grads(rows, np.zeros((5, 0)), np.zeros(5))[2]
+        h = 1e-6
+        for j in range(m):
+            up, dn = rows.copy(), rows.copy()
+            up[:, j] += h
+            dn[:, j] -= h
+            fd = (geo.measure(up)[0] - geo.measure(dn)[0]) / (2 * h)
+            np.testing.assert_allclose(grad[:, j], fd, rtol=1e-5, atol=1e-7)
+
+
+def test_inserting_an_existing_row_gains_nothing():
+    # at a KKT point a copy of an old block's row gains that block's mass
+    # component of the KKT residual
+    evals = [DensityEvaluator(EDGE), DensityEvaluator(TRI)]
+    for cons in (ConstraintVector.edge_triangle(0.4, 0.05), ConstraintVector.edge_triangle(0.4, 0.07)):
+        q = maximize_entropy(cons, 2, PANEL).graphon
+        lam, kkt = _multipliers(q, evals)
+        assert kkt <= _KKT_TOL
+        own = _InsertionGeometry(q.masses, q.values, evals, lam).measure(q.values)[0]
+        assert np.abs(own).max() <= max(kkt, 1e-15)
+
+
+# the feasible optimize-panel targets, criteria 2, 3 and 6, and the corners of
+# the grids in test_scan.py below the ER curve, each at the options its test
+# runs; the corners above it escalate to m_max, like criterion 6, so they
+# have no certified stop to check
+CERTIFIED_TARGETS = [
+    (0.4, 0.05, PANEL), (0.5, 0.06, PANEL), (0.45, 0.45**3, PANEL),
+    *[(eps, eps**3, OptimizerOptions(n_starts=8, seed=202, m_max=4)) for eps in (0.2, 0.3, 0.4, 0.5)],
+    *[(0.5, tau, OptimizerOptions(n_starts=8, seed=303, m_max=4)) for tau in (0.02, 0.06, 0.10)],
+    (0.5, 0.15, OptimizerOptions(n_starts=10, seed=606, m_max=4)),
+    (0.4, 0.052, SCAN),
+    (0.42, 0.02, SCAN), (0.42, 0.04, SCAN), (0.46, 0.02, SCAN), (0.46, 0.04, SCAN),
+]
+
+
+@pytest.mark.parametrize("eps,tau,opts", CERTIFIED_TARGETS)
+def test_certified_stop_leaves_no_gain_at_the_next_m(monkeypatch, eps, tau, opts):
+    cons = ConstraintVector.edge_triangle(eps, tau)
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(cons, opts)
+    m, last = calls[-1]
+    if not last.feasible or m == opts.m_max:
+        return
+    gain, certified = _insertion_certificate(last.graphon, [DensityEvaluator(EDGE), DensityEvaluator(TRI)])
+    if not certified:
+        return  # stopped by the two-small-gains rule
+    if res.m == m:
+        assert res.insertion_gain == gain
+    best = max(r.entropy for _, r in calls if r.feasible)
+    assert last.entropy == best
+    nxt = maximize_entropy(cons, m + 1, opts, extra_seeds=(last.graphon,))
+    assert nxt.entropy - best < _ESCALATION_TOL
+
+
+def test_certificate_refuses_points_that_are_not_kkt_points(monkeypatch):
+    evals = [DensityEvaluator(EDGE), DensityEvaluator(TRI)]
+    # a feasible graphon for its own densities that no multipliers make
+    # stationary
+    q = StepGraphon([0.3, 0.7], [[0.2, 0.7], [0.7, 0.4]])
+    assert _multipliers(q, evals)[1] > 1e-3
+    assert not _insertion_certificate(q, evals)[1]
+    # a KKT point of m = 2 that inserting a third block improves: the
+    # escalation goes on to m = 3 and gains there
+    cons = ConstraintVector.edge_triangle(0.4, 0.07)
+    r2 = maximize_entropy(cons, 2, PANEL)
+    assert _multipliers(r2.graphon, evals)[1] <= _KKT_TOL
+    gain, certified = _insertion_certificate(r2.graphon, evals)
+    assert gain > 0.1 and not certified
+    # the ascent finds at least the best row of a 201 x 201 grid
+    grid = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)
+    geo = _InsertionGeometry(r2.graphon.masses, r2.graphon.values, evals, _multipliers(r2.graphon, evals)[0])
+    assert gain >= geo.measure(geo.project(grid))[0].max() - 1e-12
+    res = constrained_entropy(cons, OptimizerOptions(n_starts=8, m_max=3))
+    assert res.m == 3 and res.entropy > r2.entropy + 0.01
+    # the anchor's m = 2 optimum gains nothing by an insertion; with its
+    # KKT residual read as 1e-3 the escalation must go on to m = 3
+    inner = optimizer._multipliers
+    monkeypatch.setattr(optimizer, "_multipliers", lambda q, ev: (inner(q, ev)[0], 1e-3))
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), OptimizerOptions(n_starts=8, m_max=3))
+    assert [m for m, _ in calls] == [1, 2, 3]
+    assert res.insertion_gain <= _INSERTION_TOL
 
 
 class TestBoundedSignedMax:

@@ -12,6 +12,7 @@ from phases.permuton import (
     Permutation,
     PermutonOptimizerOptions,
     StarPattern,
+    _all_perms,
     _matches,
     _rank_tuple,
     count_constrained_perms,
@@ -247,6 +248,13 @@ class TestCounting:
     def test_tight_window_only_identity(self):
         rep = count_constrained_perms(3, [(P123, 1.0)], 0.5)
         assert rep.count == 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_permutation_table_is_itertools_order(self, n):
+        table = _all_perms(n)
+        assert table.dtype == np.int8
+        expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+        np.testing.assert_array_equal(table, expected)
 
     def test_empty_constraints(self):
         rep = count_constrained_perms(5, [], 0.1)

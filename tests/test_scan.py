@@ -54,6 +54,11 @@ def test_strip_across_er_curve(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert float(rows[er_row]["entropy"]) == pytest.approx(cells[er_row].entropy)
+    header = list(rows[0])
+    assert header[header.index("multistart_spread") + 1] == "insertion_gain"
+    for row, c in zip(rows, cells):
+        assert row["insertion_gain"] == ("" if c.insertion_gain is None else f"{c.insertion_gain:.17g}")
+    assert cells[0].insertion_gain <= 1e-7  # below the curve the certificate stops at m = 2
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "<rect" in svg
 
