@@ -18,13 +18,16 @@ feasible rows polished), and `phases.permuton._PermutonGeometry` (theta =
 log of a grid permuton, Sinkhorn projection onto uniform marginals).
 
 `constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
-at a feasible m whose best graphon passes a block-insertion certificate: the
-multipliers fit the KKT equations and no new block of infinitesimal mass,
-whatever its row, raises the Lagrangian to first order (the vertex form of
-the Euler-Lagrange equations of Radin & Sadun 2013 and Kenyon, Radin, Ren &
-Sadun 2017).  The row is searched by the same driver's ascent, on
-`_InsertionGeometry`.  Where the certificate fails, the escalation stops
-after two sizes without gain.
+at an m whose best graphon passes a block-insertion certificate.  At a
+feasible m the multipliers fit the KKT equations and no new block of
+infinitesimal mass, whatever its row, raises the Lagrangian to first order
+(the vertex form of the Euler-Lagrange equations of Radin & Sadun 2013 and
+Kenyon, Radin, Ren & Sadun 2017).  While no m is feasible the same test reads
+the residual -|t(q) - alpha|^2 / 2 instead: neither the graphon's own
+coordinates nor a new block lower it to first order.  The row is searched by
+the same driver's ascent, on `_InsertionGeometry`.  Where the certificate
+fails, the escalation stops after two sizes without gain, or two sizes whose
+worst residual ties the best.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .graphon import (
 )
 
 M_CAP = 16
-# see _ties: how close two infeasible closest approaches tie
+# see _ties: how close two infeasible closest approaches tie; also the
+# residual certificate's relative tolerance (_insertion_certificate)
 _RESIDUAL_TIE_RTOL = 1e-3
 _VALUE_FLOOR = 1e-9  # block values stay this far inside (0,1)
 _MASS_FLOOR = 1e-6  # and masses at least this large
@@ -100,6 +104,9 @@ class OptimizerResult:
     # largest first-order gain of inserting a block (see constrained_entropy);
     # None where no certificate ran
     insertion_gain: float | None = None
+    # why constrained_entropy stopped: "certified", "no_gain", "ties" or
+    # "m_max"; None from maximize_entropy
+    escalation_stop: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -115,6 +122,7 @@ class OptimizerResult:
             "feasible": self.feasible,
             "m": self.m,
             "insertion_gain": self.insertion_gain,
+            "escalation_stop": self.escalation_stop,
         }
 
 
@@ -676,7 +684,8 @@ class _InsertionGeometry:
     """Rows r in [0,1]^k of a block inserted into the k-block graphon (c, p),
     for the AL driver's ascent with no constraints: a row's objective is the
     new block's component of mass_chain_rule(c', dL/dc') at mass 0, for
-    L = S - lam . t, the first-order gain of moving mass onto that block.
+    L = S - lam . t (L = -lam . t without entropy), the first-order gain of
+    moving mass onto that block.
     Its gradient in r vanishes with the block's mass, so it is read as the
     new row's value gradient at mass _INSERTION_MASS over that mass, which is
     exact up to a relative O(_INSERTION_MASS)."""
@@ -684,8 +693,8 @@ class _InsertionGeometry:
     steps = _GraphonGeometry.steps
     gtol = _GraphonGeometry.gtol
 
-    def __init__(self, c, p, evals, lam):
-        self.c, self.p, self.evals, self.lam = c, p, evals, lam
+    def __init__(self, c, p, evals, lam, entropy=True):
+        self.c, self.p, self.evals, self.lam, self.entropy = c, p, evals, lam, entropy
 
     def point(self, theta):
         return (theta,)
@@ -702,7 +711,9 @@ class _InsertionGeometry:
         p[:, :k, :k] = self.p
         p[:, k, :k] = p[:, :k, k] = r
         p[:, k, k] = 0.5  # enters L at second order in the new mass only
-        _, dv, dc = EntropyObjective.value_and_grads(c, p)
+        dv = dc = 0.0
+        if self.entropy:
+            _, dv, dc = EntropyObjective.value_and_grads(c, p)
         for lam_j, ev in zip(self.lam, self.evals):
             _, dvj, dcj = ev.value_and_grads(c, p)
             dv, dc = dv - lam_j * dvj, dc - lam_j * dcj
@@ -723,51 +734,88 @@ class _InsertionGeometry:
         return _dot(grad, theta - theta_0)
 
 
+def _theta_grad(ev, c, p) -> np.ndarray:
+    """Gradient of ev at (c, p) in the coordinates theta of _GraphonGeometry:
+    masses through mass_chain_rule, then upper-triangle values."""
+    (iu0, iu1), _ = _triu(len(c))
+    _, dv, dc = ev.value_and_grads(c, p)
+    return np.concatenate([mass_chain_rule(c, dc), dv[iu0, iu1]])
+
+
 def _multipliers(q: StepGraphon, evals) -> tuple[np.ndarray, float]:
     """(lam, KKT residual) at q: lam solves grad S = J^T lam in the
-    least-squares sense, in the coordinates theta of _GraphonGeometry (masses
-    through mass_chain_rule, upper-triangle values), from the normal
-    equations with polish's ridge (np.linalg.lstsq pages in another 1 MB of
-    LAPACK); the residual is |grad S - J^T lam|_inf."""
+    least-squares sense, in the coordinates theta of _GraphonGeometry, from
+    the normal equations with polish's ridge (np.linalg.lstsq pages in another
+    1 MB of LAPACK); the residual is |grad S - J^T lam|_inf."""
     c, p = q.masses, q.values
-    (iu0, iu1), _ = _triu(q.m)
-
-    def theta_grad(ev):
-        _, dv, dc = ev.value_and_grads(c, p)
-        return np.concatenate([mass_chain_rule(c, dc), dv[iu0, iu1]])
-
-    grad = theta_grad(EntropyObjective)
-    jac = np.array([theta_grad(ev) for ev in evals])
+    grad = _theta_grad(EntropyObjective, c, p)
+    jac = np.array([_theta_grad(ev, c, p) for ev in evals])
     lam = np.linalg.solve(jac @ jac.T + 1e-14 * np.eye(len(evals)), jac @ grad)
     return lam, float(np.abs(grad - jac.T @ lam).max())
 
 
-def _insertion_certificate(q: StepGraphon, evals) -> tuple[float, bool]:
-    """(largest insertion gain, whether q is certified) at a feasible graphon q.
+def _residual_stationary(q: StepGraphon, evals, gaps, tol: float) -> bool:
+    """Whether no move of q's own coordinates lowers |g|^2 / 2, g = gaps, to
+    first order: the gradient in theta, projected on the box (a mass on its
+    floor or a value on its floor or ceiling drops the component that leaves
+    it), is at most tol.  A block whose diagonal value is inside (0,1) also
+    refuses: splitting it into two halves whose values move +-x apart leaves
+    every density unchanged to second order in x, but moves a triangle
+    density by x^3 c^3 with either sign.  Below the ER curve the constant
+    graphon is such a point at every target, feasible ones included."""
+    c, p, m = q.masses, q.values, q.m
+    (iu0, iu1), _ = _triu(m)
+    u = p[iu0, iu1]
+    step = -sum(g * _theta_grad(ev, c, p) for g, ev in zip(gaps, evals))
+    low = np.concatenate([c <= 2.0 * _MASS_FLOOR, u <= 2.0 * _VALUE_FLOOR])
+    high = np.concatenate([np.zeros(m, dtype=bool), u >= 1.0 - 2.0 * _VALUE_FLOOR])
+    step[(low & (step < 0.0)) | (high & (step > 0.0))] = 0.0
+    diag = np.diag(p)
+    split = (diag > 2.0 * _VALUE_FLOOR) & (diag < 1.0 - 2.0 * _VALUE_FLOOR)
+    return bool(np.abs(step).max() <= tol and not split.any())
 
-    With the multipliers of _multipliers, the gain of a new block of mass 0
-    and row r is maximized over r in [0,1]^k by a batched projected ascent
-    from q's own rows, whose gains are the mass components of the KKT
-    residual, and _INSERTION_RANDOM_ROWS seeded random rows.  q is certified
-    when its KKT residual is at most _KKT_TOL and the gain at most
-    _INSERTION_TOL.  A local, first-order test (the vertex form of the
-    Euler-Lagrange equations): it says that no block insertion raises the
-    entropy to first order, not that no larger m does better."""
-    lam, kkt = _multipliers(q, evals)
-    geo = _InsertionGeometry(q.masses, q.values, evals, lam)
+
+def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float, bool]:
+    """(largest insertion gain, whether q is certified).
+
+    At a feasible q (gaps None) the gain is that of L = S - lam . t, with the
+    multipliers of _multipliers, and q is certified when its KKT residual is
+    at most _KKT_TOL and the gain at most _INSERTION_TOL.  At an infeasible q
+    with gaps g = t(q) - alpha the objective is -|g|^2 / 2, whose gradient is
+    -g . grad t: the gain is the same with no entropy and lam = g, and q is
+    certified when _residual_stationary holds and the gain is at most
+    _RESIDUAL_TIE_RTOL |g|^2, so that no new block of mass up to 1 lowers the
+    residual by as much as _ties would count.
+
+    The gain of a new block of mass 0 and row r is maximized over r in [0,1]^k
+    by a batched projected ascent from q's own rows, whose gains are the mass
+    components of the stationarity residual, and _INSERTION_RANDOM_ROWS
+    seeded random rows.  A local, first-order test (the vertex form of the
+    Euler-Lagrange equations): it says that no block insertion helps to first
+    order, not that no larger m does better."""
+    if gaps is None:
+        lam, kkt = _multipliers(q, evals)
+        geo = _InsertionGeometry(q.masses, q.values, evals, lam)
+        tol, stationary = _INSERTION_TOL, kkt <= _KKT_TOL
+    else:
+        geo = _InsertionGeometry(q.masses, q.values, evals, gaps, entropy=False)
+        tol = _RESIDUAL_TIE_RTOL * float(_dot(gaps, gaps))
+        stationary = _residual_stationary(q, evals, gaps, tol)
     rows = np.concatenate(
         [q.values, np.random.default_rng(0).uniform(0.0, 1.0, (_INSERTION_RANDOM_ROWS, q.m))])
     n = len(rows)
     _, _, gains = _ascend(geo, geo.project(rows), np.zeros((n, 0)), np.zeros(n),
                           OptimizerOptions(max_inner=_INSERTION_STEPS))
     gain = float(gains.max())
-    return gain, kkt <= _KKT_TOL and gain <= _INSERTION_TOL
+    return gain, stationary and gain <= tol
 
 
 def _ties(a: float, b: float, opts) -> bool:
-    """Whether worst residual a ties b.  Runs on an infeasible target stop as
-    hopeless before they converge, so worst residuals within a relative
-    _RESIDUAL_TIE_RTOL of each other say nothing about m."""
+    """Whether worst residual a ties b.  On an infeasible target the starts
+    stop as hopeless, not converged (at (0.3, 0.2) and m = 2, 7 of 8 starts
+    stop at round 5, the first that judges them, and the last at round 6), so
+    worst residuals within a relative _RESIDUAL_TIE_RTOL of each other say
+    nothing about m."""
     return a <= b * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
 
 
@@ -783,15 +831,19 @@ def constrained_entropy(
 
     Each feasible m that sets a new best entropy gets the block-insertion
     certificate (_insertion_certificate), its gain recorded as the result's
-    insertion_gain, and the escalation stops there if it passes.  Otherwise
-    it stops after two consecutive sizes that gain less than _ESCALATION_TOL
-    or, while no size is feasible, after two consecutive sizes whose worst
-    residual the smallest one so far ties."""
+    insertion_gain; while no m is feasible, each m that sets a new smallest
+    worst residual gets the certificate on its residual.  The escalation
+    stops at an m that passes.  Otherwise it stops after two consecutive
+    sizes that gain less than _ESCALATION_TOL or, while no size is feasible,
+    after two consecutive sizes whose worst residual the smallest one so far
+    ties.  The result's escalation_stop says which rule stopped it, or
+    "m_max"."""
     opts = opts or OptimizerOptions()
     evals = [DensityEvaluator(p) for p in constraints.patterns]
     results: list[OptimizerResult] = []
     prev_feasible: OptimizerResult | None = None
     small_gains = stale = 0
+    stop = "m_max"
     for m in range(1, opts.m_max + 1):
         seeds = (prev_feasible.graphon,) if prev_feasible is not None else ()
         seeds = seeds + tuple(extra_seeds)
@@ -804,21 +856,25 @@ def constrained_entropy(
             if prev_feasible is None or res.entropy > prev_feasible.entropy:
                 insertion, certified = _insertion_certificate(res.graphon, evals)
                 res = prev_feasible = replace(res, insertion_gain=insertion)
-        elif prev_feasible is None and results:
-            best = min(max(r.residuals) for r in results)
+        elif prev_feasible is None:
+            best = min((max(r.residuals) for r in results), default=math.inf)
             stale = stale + 1 if _ties(best, max(res.residuals), opts) else 0
+            if max(res.residuals) < best:
+                q = res.graphon
+                gaps = [ev.value(q.masses, q.values) for ev in evals] - constraints.targets
+                certified = _insertion_certificate(q, evals, gaps)[1]
         results.append(res)
         if certified or small_gains >= 2 or stale >= 2:
+            stop = "certified" if certified else "no_gain" if small_gains >= 2 else "ties"
             break
     feas = [r for r in results if r.feasible]
-    if not feas:
+    if feas:
+        s_star = max(r.entropy for r in feas)
+        pick = next(r for r in feas if r.entropy >= s_star - _ESCALATION_TOL)
+    else:
         worst = [max(r.residuals) for r in results]
-        return next(r for r, w in zip(results, worst) if _ties(w, min(worst), opts))
-    s_star = max(r.entropy for r in feas)
-    for r in feas:
-        if r.entropy >= s_star - _ESCALATION_TOL:
-            return r
-    return feas[-1]
+        pick = next(r for r, w in zip(results, worst) if _ties(w, min(worst), opts))
+    return replace(pick, escalation_stop=stop)
 
 
 def bounded_signed_max(

@@ -56,6 +56,7 @@ def test_optimize_feasible_and_infeasible(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["feasible"] and doc["podality"] == 2
     assert doc["m"] == 2 and abs(doc["insertion_gain"]) < 1e-7  # the certificate stopped at m = 2
+    assert doc["escalation_stop"] == "certified"
     vals = doc["graphon"]["values"]
     assert vals[0][0] == pytest.approx(0.2076, abs=1e-3)
     # the emitted graphon re-validates under the type invariants
@@ -63,7 +64,9 @@ def test_optimize_feasible_and_infeasible(tmp_path, capsys):
     code = run(tmp_path, "optimize", "--eps", "0.3", "--tau", "0.17",
                "--starts", "4", "--m-max", "3", "--out", str(tmp_path / "inf.json"))
     assert code == 2
-    assert json.loads((tmp_path / "inf.json").read_text())["insertion_gain"] is None
+    doc = json.loads((tmp_path / "inf.json").read_text())
+    # the certificate on the residual stopped at m = 2; the gain stays entropy's
+    assert doc["insertion_gain"] is None and doc["escalation_stop"] == "certified"
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):

@@ -87,6 +87,7 @@ class TestMaximizeEntropy:
         assert res.podality == 1
         assert res.constant
         assert res.entropy == pytest.approx(binary_entropy(0.3), abs=1e-6)
+        assert res.escalation_stop is None  # no escalation ran
 
     def test_proven_segment_values(self):
         res = maximize_entropy(ConstraintVector.edge_triangle(0.5, 0.1), 2, FAST)
@@ -181,9 +182,10 @@ class TestConstrainedEntropy:
         assert not res.feasible
 
     def test_infeasible_target_reports_smallest_tying_podality(self):
-        # above the clique curve tau = eps^1.5, m = 2, 3 and 4 reach worst
-        # residual 0.020931418; were m = 5 run, its 0.020931312 (a 5-podal
-        # graphon) differs by 1e-7, which must not set the reported podality
+        # above the clique curve tau = eps^1.5 the certificate stops at m = 2,
+        # worst residual 0.020931418; m = 3 and 4 reach the same, and m = 5,
+        # were it run, 0.020931312 (a 5-podal graphon), which differs by 1e-7
+        # and must not set the reported podality
         res = constrained_entropy(
             ConstraintVector.edge_triangle(0.3, 0.2), OptimizerOptions(n_starts=8, m_max=6)
         )
@@ -206,8 +208,22 @@ def _solved_ms(monkeypatch):
     return calls
 
 
+def _refuse_infeasible(monkeypatch):
+    """Make the certificate refuse every infeasible graphon, which leaves the
+    escalation to its two-tying-sizes rule there."""
+    inner = optimizer._insertion_certificate
+
+    def refuse(q, evals, gaps=None):
+        gain, certified = inner(q, evals, gaps)
+        return gain, certified and gaps is None
+
+    monkeypatch.setattr(optimizer, "_insertion_certificate", refuse)
+
+
 def test_infeasible_escalation_stops_after_two_tying_sizes(monkeypatch):
-    # m = 3 and 4 tie m = 2's worst residual, so m = 5 and 6 are not run
+    # with the certificate refusing, m = 3 and 4 tie m = 2's worst residual,
+    # so m = 5 and 6 are not run
+    _refuse_infeasible(monkeypatch)
     calls = _solved_ms(monkeypatch)
     res = constrained_entropy(
         ConstraintVector.edge_triangle(0.3, 0.2), OptimizerOptions(n_starts=8, m_max=6)
@@ -215,6 +231,43 @@ def test_infeasible_escalation_stops_after_two_tying_sizes(monkeypatch):
     assert [m for m, _ in calls] == [1, 2, 3, 4]
     assert not res.feasible and res.podality == 2
     assert res.insertion_gain is None
+    assert res.escalation_stop == "ties"
+
+
+# above the clique curve, and below the triangle lower bound at edge density
+# above 1/2
+INFEASIBLE_ABOVE = [(0.3, 0.2), (0.3, 0.17), (0.4, 0.26), (0.25, 0.17)]
+INFEASIBLE_BELOW = [(0.6, 0.01), (0.7, 0.2)]
+
+
+@pytest.mark.parametrize("eps,tau", INFEASIBLE_ABOVE + INFEASIBLE_BELOW)
+def test_certified_infeasible_stop_matches_the_tying_rule(monkeypatch, eps, tau):
+    cons = ConstraintVector.edge_triangle(eps, tau)
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(cons, PANEL)
+    solved = [m for m, _ in calls]
+    calls.clear()
+    _refuse_infeasible(monkeypatch)
+    fallback = constrained_entropy(cons, PANEL)
+    assert not res.feasible and res.insertion_gain is None
+    if (eps, tau) in INFEASIBLE_ABOVE:
+        assert solved == [1, 2] and res.escalation_stop == "certified"
+    else:
+        # every block of the constant graphon below the ER curve can be split
+        # to third order, so the certificate refuses and the ties rule stops
+        assert res.escalation_stop == "ties" and solved == [m for m, _ in calls]
+    assert fallback.escalation_stop == "ties"
+    assert {**res.to_dict(), "escalation_stop": None} == {**fallback.to_dict(), "escalation_stop": None}
+
+
+def test_escalation_stops_without_gain_where_the_certificate_refuses(monkeypatch):
+    # the anchor's KKT residual read as 1e-3: m = 3 and 4 gain nothing on m = 2
+    inner = optimizer._multipliers
+    monkeypatch.setattr(optimizer, "_multipliers", lambda q, ev: (inner(q, ev)[0], 1e-3))
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), PANEL)
+    assert [m for m, _ in calls] == [1, 2, 3, 4]
+    assert res.m == 2 and res.escalation_stop == "no_gain"
 
 
 def _lagrangian(q, pats, lam):
@@ -259,6 +312,61 @@ def test_insertion_gain_is_the_derivative_of_inserting_a_block(m):
             dn[:, j] -= h
             fd = (geo.measure(up)[0] - geo.measure(dn)[0]) / (2 * h)
             np.testing.assert_allclose(grad[:, j], fd, rtol=1e-5, atol=1e-7)
+
+
+def _half_residual(q, pats, alpha):
+    g = np.array([subgraph_density(q, pat) for pat in pats]) - alpha
+    return -0.5 * float(g @ g)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_residual_gain_is_the_derivative_of_inserting_a_block(m):
+    # at an infeasible result, the gain with no entropy and lam = g is the
+    # derivative of -|t(q) - alpha|^2 / 2 under inserting a block
+    pats = [EDGE, TRI]
+    evals = [DensityEvaluator(pat) for pat in pats]
+    rng = np.random.default_rng(910 + m)
+    for eps, tau in INFEASIBLE_ABOVE[:2] + INFEASIBLE_BELOW:
+        cons = ConstraintVector.edge_triangle(eps, tau)
+        q = maximize_entropy(cons, m, PANEL).graphon
+        c, p = q.masses, q.values
+        g = np.array([subgraph_density(q, pat) for pat in pats]) - cons.targets
+        geo = _InsertionGeometry(c, p, evals, g, entropy=False)
+        rows = np.concatenate([rng.uniform(0.0, 1.0, (4, q.m)), p])
+        gain = geo.measure(rows)[0]
+        base = _half_residual(q, pats, cons.targets)
+        assert base == pytest.approx(-0.5 * float(g @ g), abs=1e-15)
+        delta = 1e-6
+        for r, gr in zip(rows, gain):
+            fd = [(_half_residual(_inserted(c, p, r, d), pats, cons.targets) - base) / d
+                  for d in (delta, 2 * delta)]
+            assert gr == pytest.approx(2.0 * fd[0] - fd[1], abs=1e-8)
+
+
+def test_residual_certificate_refuses_off_stationary_and_splittable_points():
+    evals = [DensityEvaluator(EDGE), DensityEvaluator(TRI)]
+
+    def gaps_tol(q, cons):
+        g = np.array([ev.value(q.masses, q.values) for ev in evals]) - cons.targets
+        return g, optimizer._RESIDUAL_TIE_RTOL * float(g @ g)
+
+    # below the ER curve the constant graphon is stationary for the residual
+    # and no insertion lowers it to first order, yet m = 2 is feasible there
+    cons = ConstraintVector.edge_triangle(0.4, 0.05)
+    q = maximize_entropy(cons, 1, PANEL).graphon
+    g, tol = gaps_tol(q, cons)
+    gain, certified = _insertion_certificate(q, evals, g)
+    assert gain <= tol and not certified
+    assert maximize_entropy(cons, 2, PANEL).feasible
+    # above the clique curve the m = 2 point passes; with one off-diagonal
+    # value moved inside (0,1) its own coordinates lower the residual
+    cons = ConstraintVector.edge_triangle(0.3, 0.2)
+    q = maximize_entropy(cons, 2, PANEL).graphon
+    assert _insertion_certificate(q, evals, gaps_tol(q, cons)[0])[1]
+    p = q.values.copy()
+    p[0, 1] = p[1, 0] = 0.05
+    q = StepGraphon(q.masses, p)
+    assert not optimizer._residual_stationary(q, evals, *gaps_tol(q, cons))
 
 
 def test_inserting_an_existing_row_gains_nothing():
@@ -334,6 +442,7 @@ def test_certificate_refuses_points_that_are_not_kkt_points(monkeypatch):
     res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), OptimizerOptions(n_starts=8, m_max=3))
     assert [m for m, _ in calls] == [1, 2, 3]
     assert res.insertion_gain <= _INSERTION_TOL
+    assert res.escalation_stop == "m_max"
 
 
 class TestBoundedSignedMax:
