@@ -314,9 +314,9 @@ class _GraphonGeometry:
     direction, `gain` the first-order gain of a step that the Armijo test asks
     a share of, and `finish` yields each final row as (point, objective,
     gaps).  `steps` holds the first trial step of a round and the largest
-    Barzilai-Borwein step, in the units of theta; `gtol` is the stationarity
-    tolerance, on the projected-gradient step in theta.  phases.permuton
-    defines the other geometry."""
+    Barzilai-Borwein step, in the units of theta; `stationary` says which rows
+    the driver may stop, by the tolerance `gtol`.  phases.permuton defines the
+    other geometry."""
 
     keys = ("c", "p")
     steps = (0.05, 1e3)
@@ -346,6 +346,10 @@ class _GraphonGeometry:
         w = np.maximum(theta[:, :m], _MASS_FLOOR)
         u = np.minimum(np.maximum(theta[:, m:], _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
         return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
+
+    def stationary(self, theta, grad):
+        """Rows whose projected-gradient step in theta is below gtol."""
+        return np.abs(self.project(theta + grad) - theta).max(axis=1) < self.gtol
 
     def grads(self, theta, lam, rho):
         """(AL value, gaps, AL gradient in theta, objective) per row."""
@@ -450,15 +454,11 @@ def _ascend(geo, theta, lam, rho, opts):
     stops."""
     n = len(theta)
     out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
-
-    def stationary(theta, grad):  # projected-gradient probe
-        return np.abs(geo.project(theta + grad) - theta).max(axis=1) < geo.gtol
-
     rows = np.arange(n)
     f, g, grad, obj = geo.grads(theta, lam, rho)
     eta = np.full(n, geo.steps[0])
     stall = np.zeros(n, dtype=int)
-    stop = stationary(theta, grad)
+    stop = geo.stationary(theta, grad)
     for it in range(opts.max_inner + 1):
         stop |= it == opts.max_inner
         if stop.any():
@@ -477,7 +477,7 @@ def _ascend(geo, theta, lam, rho, opts):
         f, g, grad, obj = geo.grads(theta, lam, rho)
         flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
         stall = np.where(flat, stall + 1, 0)
-        stop = ~ok | (stall >= 3) | stationary(theta, grad)
+        stop = ~ok | (stall >= 3) | geo.stationary(theta, grad)
         # Barzilai-Borwein (spectral) step for the next trial
         dth, dgr = theta - theta_0, grad - grad_0
         denom = -_dot(dth, dgr)
@@ -692,6 +692,7 @@ class _InsertionGeometry:
 
     steps = _GraphonGeometry.steps
     gtol = _GraphonGeometry.gtol
+    stationary = _GraphonGeometry.stationary
 
     def __init__(self, c, p, evals, lam, entropy=True):
         self.c, self.p, self.evals, self.lam, self.entropy = c, p, evals, lam, entropy
@@ -775,7 +776,7 @@ def _residual_stationary(q: StepGraphon, evals, gaps, tol: float) -> bool:
     return bool(np.abs(step).max() <= tol and not split.any())
 
 
-def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float, bool]:
+def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float | None, bool]:
     """(largest insertion gain, whether q is certified).
 
     At a feasible q (gaps None) the gain is that of L = S - lam . t, with the
@@ -785,7 +786,8 @@ def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float, boo
     -g . grad t: the gain is the same with no entropy and lam = g, and q is
     certified when _residual_stationary holds and the gain is at most
     _RESIDUAL_TIE_RTOL |g|^2, so that no new block of mass up to 1 lowers the
-    residual by as much as _ties would count.
+    residual by as much as _ties would count.  Where _residual_stationary
+    refuses, the ascent is skipped and the gain is None.
 
     The gain of a new block of mass 0 and row r is maximized over r in [0,1]^k
     by a batched projected ascent from q's own rows, whose gains are the mass
@@ -795,19 +797,26 @@ def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float, boo
     order, not that no larger m does better."""
     if gaps is None:
         lam, kkt = _multipliers(q, evals)
-        geo = _InsertionGeometry(q.masses, q.values, evals, lam)
-        tol, stationary = _INSERTION_TOL, kkt <= _KKT_TOL
-    else:
-        geo = _InsertionGeometry(q.masses, q.values, evals, gaps, entropy=False)
-        tol = _RESIDUAL_TIE_RTOL * float(_dot(gaps, gaps))
-        stationary = _residual_stationary(q, evals, gaps, tol)
+        gain = _insertion_gain(q, evals, lam)
+        return gain, kkt <= _KKT_TOL and gain <= _INSERTION_TOL
+    tol = _RESIDUAL_TIE_RTOL * float(_dot(gaps, gaps))
+    if not _residual_stationary(q, evals, gaps, tol):
+        return None, False
+    gain = _insertion_gain(q, evals, gaps, entropy=False)
+    return gain, gain <= tol
+
+
+def _insertion_gain(q: StepGraphon, evals, lam, entropy=True) -> float:
+    """The largest first-order gain of inserting a block into q, for
+    L = S - lam . t (L = -lam . t without entropy); see
+    _insertion_certificate."""
+    geo = _InsertionGeometry(q.masses, q.values, evals, lam, entropy)
     rows = np.concatenate(
         [q.values, np.random.default_rng(0).uniform(0.0, 1.0, (_INSERTION_RANDOM_ROWS, q.m))])
     n = len(rows)
     _, _, gains = _ascend(geo, geo.project(rows), np.zeros((n, 0)), np.zeros(n),
                           OptimizerOptions(max_inner=_INSERTION_STEPS))
-    gain = float(gains.max())
-    return gain, stationary and gain <= tol
+    return float(gains.max())
 
 
 def _ties(a: float, b: float, opts) -> bool:

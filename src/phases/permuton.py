@@ -423,8 +423,9 @@ class _PermutonGeometry:
     step in g, and the projection restores uniform marginals by Sinkhorn
     scaling, which is itself multiplicative.  Trial points get at most 400
     Sinkhorn sweeps; finish runs the tight projection and recomputes entropy
-    and gaps.  `steps` and `gtol` mean what they mean for
-    phases.optimizer._GraphonGeometry, in units of log g."""
+    and gaps.  `steps` means what it means for
+    phases.optimizer._GraphonGeometry, in units of log g, and `gtol` bounds
+    the gradient that `stationary` tests."""
 
     keys = ("g",)
     steps = (0.5, 50.0)
@@ -450,6 +451,15 @@ class _PermutonGeometry:
     def project(self, theta):
         (g,) = self.point(np.clip(theta, _LOG_FLOOR, -_LOG_FLOOR))
         return self.start(project_uniform_marginals(g, max_iter=400))
+
+    def stationary(self, theta, grad):
+        """Rows whose double-centred AL gradient is below gtol: the part of a
+        step in log g that the projection's row and column rescaling does not
+        absorb.  No Sinkhorn is run."""
+        grad = grad.reshape(-1, self.res, self.res)
+        centred = (grad - grad.mean(axis=1, keepdims=True) - grad.mean(axis=2, keepdims=True)
+                   + grad.mean(axis=(1, 2), keepdims=True))
+        return np.abs(centred).max(axis=(1, 2)) < self.gtol
 
     def grads(self, theta, lam, rho):
         """(AL value, gaps, AL gradient in g, entropy) per row."""

@@ -55,7 +55,9 @@ class SamplerInitError(RuntimeError):
 @dataclass(frozen=True)
 class ChainConfig:
     """Metropolis chain configuration: burn_in and sample_interval default to
-    50 n^2 and n^2 edge-toggle proposals."""
+    50 n^2 and n^2 edge-toggle proposals.  Sample k is taken after proposal
+    burn_in + k sample_interval (at least 1), and the chain ends there at its
+    last sample, or after the burn-in when it retains none."""
 
     n: int
     constraints: ConstraintVector
@@ -69,12 +71,13 @@ class ChainConfig:
             raise ValueError("chains need n >= 4")
         if self.constraints.delta <= 0:
             raise ValueError("hard windows need a positive delta at finite n")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if self.n_samples < 0:
+            raise ValueError("n_samples must be >= 0")
         if self.burn_in_steps < 0 or self.interval_steps < 0:
             raise ValueError("burn_in and sample_interval must be >= 0")
         if self.burn_in_steps + self.interval_steps * self.n_samples == 0:
-            raise ValueError("the chain makes no proposals: burn_in and sample_interval are 0")
+            raise ValueError(
+                "the chain makes no proposals: burn_in is 0, and sample_interval or n_samples is 0")
 
     @property
     def burn_in_steps(self) -> int:
@@ -83,6 +86,13 @@ class ChainConfig:
     @property
     def interval_steps(self) -> int:
         return self.n * self.n if self.sample_interval is None else self.sample_interval
+
+    @property
+    def total_steps(self) -> int:
+        """Proposals the chain makes."""
+        if self.n_samples == 0:
+            return self.burn_in_steps
+        return max(1, self.burn_in_steps + (self.n_samples - 1) * self.interval_steps)
 
 
 @dataclass
@@ -365,7 +375,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
         )
 
     sweep = n * (n - 1) // 2
-    total = cfg.burn_in_steps + cfg.interval_steps * cfg.n_samples
+    total = cfg.total_steps
     # per-element bounds draw exactly what alternating rng.integers(n) and
     # rng.integers(n - 1) calls draw, one proposal (u, v) per pair
     bounds = np.tile([n, n - 1], _BLOCK)
@@ -397,7 +407,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
         )
     return SampleRun(
         graphs=graphs,
-        densities=np.array(rows),
+        densities=np.array(rows).reshape(len(rows), len(targets)),
         acceptance_rate=accepted / total,
         stalled=stalled,
         config=cfg,
@@ -536,79 +546,90 @@ def _pattern_mask_classes(pattern: SubgraphPattern, n: int, bit: dict) -> Counte
 
 def enumerate_Z(n: int, constraints: ConstraintVector) -> EnumerationReport:
     """Exhaustively count labeled graphs on n nodes whose injective densities
-    fall strictly inside every window (alpha_j - delta, alpha_j + delta)."""
+    fall strictly inside every window (alpha_j - delta, alpha_j + delta).
+
+    The graphs are split at the last vertex.  The C(n-1, 2) pairs among the
+    other vertices form a low graph, and the last vertex's neighbourhood S
+    holds the remaining n - 1 pairs.  The edge and triangle counts and the
+    degrees of all 2^C(n-1,2) low graphs are computed once; each of the
+    2^(n-1) neighbourhoods then adds only its own part: |S| edges, the low
+    edges inside S as triangles, a degree for each member of S and |S| for
+    the last vertex, and, for a generic pattern, the placements whose pairs
+    at the last vertex lie in S.  Memory is O(2^C(n-1,2)): count arrays of
+    2^15 entries at n = 7."""
     if n > ENUM_N_CAP:
         raise ValueError(f"exact enumeration capped at n = {ENUM_N_CAP}")
     if n < 1:
         raise ValueError("n must be positive")
-    pairs = list(itertools.combinations(range(n), 2))
-    n_edges = len(pairs)
-    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
-    triples = []
-    for a, b, c in itertools.combinations(range(n), 3):
-        triples.append(bit[(a, b)] | bit[(a, c)] | bit[(b, c)])
-    triples = np.array(triples, dtype=np.int64)
-    vertex_masks = np.array(
-        [sum(bit[(min(u, v), max(u, v))] for v in range(n) if v != u) for u in range(n)],
-        dtype=np.int64,
-    )
+    last = n - 1
+    low_pairs = list(itertools.combinations(range(last), 2))
+    n_low = len(low_pairs)
+    bit = {pair: 1 << i for i, pair in enumerate(low_pairs)}
+    bit.update({(u, last): 1 << (n_low + u) for u in range(last)})
+
+    low = np.arange(1 << n_low, dtype=np.int64)
+    low_edges = np.bitwise_count(low).astype(np.int64)
+    low_triangles = np.zeros_like(low)
+    for a, b, c in itertools.combinations(range(last), 3):
+        t = bit[(a, b)] | bit[(a, c)] | bit[(b, c)]
+        low_triangles += (low & t) == t
+    low_degrees = [
+        np.bitwise_count(low & sum(bit[min(u, v), max(u, v)] for v in range(last) if v != u))
+        .astype(np.int64)
+        for u in range(last)
+    ]
 
     delta = constraints.delta
     kinds = []
     for pat, target in constraints.terms:
         kind, r = _pattern_kind(pat)
-        aux = None
-        if kind not in _COUNTED:
+        if kind == "star":
+            # the low graph's r-star count, and what u joining S adds to it:
+            # (d + 1)_r - (d)_r = r (d)_(r-1)
+            aux = (sum(_falling(d, r) for d in low_degrees),
+                   [r * _falling(d, r - 1) for d in low_degrees])
+        elif kind not in _COUNTED:
             if not pat.is_all_present:
                 raise ValueError("enumeration constraints must be all-present patterns")
-            classes = _pattern_mask_classes(pat, n, bit)
-            masks = np.array(list(classes.keys()), dtype=np.int64)
-            mults = np.array(list(classes.values()), dtype=np.int64)
-            kind, r, aux = "generic", pat.k, (masks, mults)
+            # placement counts of every low graph, keyed by the pairs at the
+            # last vertex that the placements need
+            kind, aux = "generic", {}
+            for mask, mult in _pattern_mask_classes(pat, n, bit).items():
+                high, part = mask >> n_low, mask & ((1 << n_low) - 1)
+                aux[high] = aux.get(high, 0) + mult * ((low & part) == part)
+        else:
+            aux = None
         cmin, cmax = _count_window(target, delta, _count_denominator(pat, n))
         kinds.append((kind, r, aux, cmin, cmax))
 
-    total = 1 << n_edges
+    n_triangle_bins = math.comb(n, 3) + 1
+    hist = np.zeros((math.comb(n, 2) + 1) * n_triangle_bins, dtype=np.int64)
     z = 0
-    hist: Counter = Counter()
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        edge_counts = np.bitwise_count(masks).astype(np.int64)
-        tri_counts = np.zeros(masks.shape[0], dtype=np.int64)
-        for t in triples:
-            tri_counts += (masks & t) == t
-        ok = np.ones(masks.shape[0], dtype=bool)
-        degs = None
+    for s in range(1 << last):
+        members = [u for u in range(last) if s >> u & 1]
+        pairs_in_s = sum(bit[pair] for pair in itertools.combinations(members, 2))
+        edges = low_edges + len(members)
+        triangles = low_triangles + np.bitwise_count(low & pairs_in_s)
+        ok = np.ones(low.shape, dtype=bool)
         for kind, r, aux, cmin, cmax in kinds:
             if kind == "edge":
-                cnt = edge_counts
+                cnt = edges
             elif kind == "triangle":
-                cnt = tri_counts
+                cnt = triangles
             elif kind == "star":
-                if degs is None:
-                    degs = np.stack(
-                        [np.bitwise_count(masks & vm) for vm in vertex_masks], axis=1
-                    ).astype(np.int64)
-                cnt = np.zeros(masks.shape[0], dtype=np.int64)
-                for col in range(n):
-                    ff = np.ones(masks.shape[0], dtype=np.int64)
-                    for i in range(r):
-                        ff = ff * (degs[:, col] - i)
-                    cnt += ff
+                base, joins = aux
+                cnt = base + sum(joins[u] for u in members) + _falling(len(members), r)
             else:
-                pmasks, mults = aux
-                cnt = np.zeros(masks.shape[0], dtype=np.int64)
-                for pm, mult in zip(pmasks, mults):
-                    cnt += mult * ((masks & pm) == pm)
+                cnt = sum(a for high, a in aux.items() if high & ~s == 0)
             ok &= (cnt >= cmin) & (cnt <= cmax)
-        z += int(ok.sum())
-        keys = edge_counts * (10 * n**3) + tri_counts
-        uniq, counts = np.unique(keys, return_counts=True)
-        for k, cval in zip(uniq.tolist(), counts.tolist()):
-            hist[(k // (10 * n**3), k % (10 * n**3))] += cval
+        z += int(np.count_nonzero(ok))
+        hist += np.bincount(edges * n_triangle_bins + triangles, minlength=len(hist))
+    total = 1 << math.comb(n, 2)
     log_norm = -math.inf if z == 0 else math.log(z) / (n * n)
-    histogram = tuple(sorted((e, t, c) for (e, t), c in hist.items()))
+    histogram = tuple(
+        (int(k) // n_triangle_bins, int(k) % n_triangle_bins, int(hist[k]))
+        for k in np.flatnonzero(hist)
+    )
     return EnumerationReport(
         n=n,
         z=z,

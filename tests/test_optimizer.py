@@ -351,12 +351,13 @@ def test_residual_certificate_refuses_off_stationary_and_splittable_points():
         return g, optimizer._RESIDUAL_TIE_RTOL * float(g @ g)
 
     # below the ER curve the constant graphon is stationary for the residual
-    # and no insertion lowers it to first order, yet m = 2 is feasible there
+    # and no insertion lowers it to first order, yet m = 2 is feasible there;
+    # the split condition refuses it before the insertion ascent runs
     cons = ConstraintVector.edge_triangle(0.4, 0.05)
     q = maximize_entropy(cons, 1, PANEL).graphon
     g, tol = gaps_tol(q, cons)
-    gain, certified = _insertion_certificate(q, evals, g)
-    assert gain <= tol and not certified
+    assert optimizer._insertion_gain(q, evals, g, entropy=False) <= tol
+    assert _insertion_certificate(q, evals, g) == (None, False)
     assert maximize_entropy(cons, 2, PANEL).feasible
     # above the clique curve the m = 2 point passes; with one off-diagonal
     # value moved inside (0,1) its own coordinates lower the residual

@@ -1,4 +1,11 @@
+import functools
+import hashlib
+import itertools
+import json
 import math
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +52,27 @@ CHAIN_PATTERNS = {
 }
 
 
+ENUM_PATTERNS = {
+    "edge": EDGE, "triangle": TRI, "2star": SubgraphPattern.star(2),
+    "3star": SubgraphPattern.star(3), "4cycle": SubgraphPattern.cycle(4),
+    "4path": SubgraphPattern.path(4),
+}
+
+
+@functools.cache
+def _all_graphs(n):
+    """(edge count, triangle count, {pattern: density}) of every labeled graph
+    on n nodes, the densities of the ENUM_PATTERNS that fit in n nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        g = FiniteGraph.from_edges(n, [pair for b, pair in enumerate(pairs) if mask >> b & 1])
+        dens = {pat: finite_density(g, pat) for pat in ENUM_PATTERNS.values() if pat.k <= n}
+        triangles = int(dens[TRI] * math.comb(n, 3)) if n >= 3 else 0
+        out.append((g.edge_count, triangles, dens))
+    return out
+
+
 def random_graph(n, p, rng):
     adj = np.triu((rng.random((n, n)) < p).astype(np.int32), 1)
     return adj + adj.T
@@ -89,7 +117,12 @@ def single_proposal_chain(cfg):
             adj, score = cand_adj, cand
     if not inside(adj):
         raise SamplerInitError("repair failed")
-    total = cfg.burn_in_steps + cfg.interval_steps * cfg.n_samples
+    # the chain ends at its last sample, burn_in + (n_samples - 1) interval,
+    # and runs at least one proposal; with no samples it only burns in
+    if cfg.n_samples:
+        total = max(1, cfg.burn_in_steps + (cfg.n_samples - 1) * cfg.interval_steps)
+    else:
+        total = cfg.burn_in_steps
     graphs, rows = [], []
     accepted = since_accept = 0
     stalled = False
@@ -133,6 +166,10 @@ class TestChainConfig:
     def test_rejects_a_chain_without_proposals(self):
         with pytest.raises(ValueError, match="no proposals"):
             ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=0, sample_interval=0)
+        with pytest.raises(ValueError, match="no proposals"):
+            ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=0, n_samples=0)
+        with pytest.raises(ValueError, match=">= 0"):
+            ChainConfig(n=10, constraints=edge_only(0.5, 0.1), n_samples=-1)
 
     def test_accepts_a_chain_that_only_burns_in_or_only_samples(self):
         cons = edge_only(0.5, 0.1)
@@ -147,6 +184,53 @@ class TestChainConfig:
                                              sample_interval=0, n_samples=2))
         assert len(run) == 2
         assert np.array_equal(run.graphs[0].adjacency, run.graphs[1].adjacency)
+        # a chain that only burns in retains nothing
+        run = sample_constrained(ChainConfig(n=10, constraints=cons, burn_in=50,
+                                             sample_interval=20, n_samples=0))
+        assert len(run) == 0 and run.densities.shape == (0, 1)
+        assert 0.0 <= run.acceptance_rate <= 1.0
+
+    @pytest.mark.parametrize("burn_in, interval, n_samples, proposals", [
+        (50, 20, 3, 90), (50, 20, 1, 50), (50, 20, 0, 50), (0, 20, 1, 1), (0, 20, 3, 40),
+        (50, 0, 2, 50),
+    ])
+    def test_chain_ends_at_its_last_sample(self, monkeypatch, burn_in, interval, n_samples,
+                                           proposals):
+        calls = []
+        try_toggle = _DensityTracker.try_toggle
+
+        def counted(tracker, u, v):
+            calls.append((u, v))
+            return try_toggle(tracker, u, v)
+
+        monkeypatch.setattr(_DensityTracker, "try_toggle", counted)
+        cfg = ChainConfig(n=10, constraints=edge_only(0.5, 0.1), seed=4, burn_in=burn_in,
+                          sample_interval=interval, n_samples=n_samples)
+        run = sample_constrained(cfg)
+        assert cfg.total_steps == len(calls) == proposals
+        assert len(run) == n_samples
+
+    @pytest.mark.parametrize("n, terms, delta, seed, burn_in, interval, n_samples, digest", [
+        (12, ((EDGE, 0.5), (TRI, 0.1)), 0.05, 7, 100, 30, 3, "4745248dd0b8ac64"),
+        (10, ((SubgraphPattern.star(2), 0.3), (EDGE, 0.5)), 0.1, 3, 50, 17, 4,
+         "404a4f461bb3f782"),
+        (8, ((EDGE, 0.5), (SubgraphPattern.cycle(4), 0.1)), 0.2, 5, 20, 25, 2,
+         "3a371774ff82da0c"),
+    ])
+    def test_retained_samples_unchanged_by_the_shorter_chain(
+        self, n, terms, delta, seed, burn_in, interval, n_samples, digest
+    ):
+        # digests of the retained graphs and densities read from chains that
+        # ran one interval past their last sample: ending there changes the
+        # acceptance rate, not the samples
+        run = sample_constrained(ChainConfig(
+            n=n, constraints=ConstraintVector(terms, delta), seed=seed, burn_in=burn_in,
+            sample_interval=interval, n_samples=n_samples))
+        h = hashlib.sha256()
+        for g in run.graphs:
+            h.update(np.ascontiguousarray(g.adjacency, dtype=np.int64).tobytes())
+        h.update(run.densities.tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestSampleConstrained:
@@ -333,12 +417,12 @@ class TestBlockChain:
              interval=46, n_samples=2, block=3, seed=2988995438)
     @example(name="edge-triangle", n=6, p=0.6765504518087084, delta=0.1, burn_in=186,
              interval=17, n_samples=1, block=1024, seed=3671383834)
-    @example(name="edge-2star", n=6, p=0.8412075399014011, delta=0.2, burn_in=115,
-             interval=46, n_samples=2, block=1, seed=2589468592)
+    @example(name="edge-edge-triangle", n=8, p=0.7334171910537831, delta=0.05, burn_in=35,
+             interval=143, n_samples=2, block=3, seed=2925526738)
     @example(name="3star", n=7, p=0.5515503324461193, delta=0.05, burn_in=167,
              interval=26, n_samples=1, block=1024, seed=1680050045)
-    @example(name="edge-triangle", n=6, p=0.18518266595556743, delta=0.1, burn_in=13,
-             interval=10, n_samples=1, block=1024, seed=3162550556)
+    @example(name="edge-2star", n=8, p=0.23132703561747345, delta=0.05, burn_in=110,
+             interval=90, n_samples=2, block=3, seed=137923500)
     @example(name="edge-4cycle", n=7, p=0.7614874117773833, delta=0.2, burn_in=8,
              interval=100, n_samples=4, block=1024, seed=564533598)
     def test_chain_equals_single_proposal_chain(
@@ -442,17 +526,15 @@ class TestEnumeration:
         assert rep.log_normalized <= math.log(2) / 2
 
     def test_star_constraint_matches_generic(self):
-        # 2-star density window checked via the degree fast path and via the
-        # generic mask path must agree
+        # the 2-star window, counted from degrees, equals a brute-force count
+        # over all graphs; the pattern written with edges (1,2), (1,3)
+        # normalizes to the same star, so it takes the degree count too
         star = SubgraphPattern.star(2)
         fast = enumerate_Z(5, ConstraintVector(((star, 0.3),), 0.1))
         generic_pattern = SubgraphPattern(3, ((1, 2), (1, 3)))
         assert generic_pattern == star  # same normalized pattern
         # compare against brute force over all graphs; the window bounds are
         # decimal-exact (0.3 means 3/10), so the oracle must use Fractions too
-        from fractions import Fraction
-        import itertools
-
         count = 0
         pairs = list(itertools.combinations(range(5), 2))
         for mask in range(1 << 10):
@@ -462,6 +544,55 @@ class TestEnumeration:
             if abs(d - Fraction(3, 10)) < Fraction(1, 10):
                 count += 1
         assert fast.z == count
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 5),
+        names=st.lists(st.sampled_from(sorted(ENUM_PATTERNS)), min_size=1, max_size=2,
+                       unique=True),
+        twentieths=st.lists(st.integers(0, 20), min_size=2, max_size=2),
+        delta=st.sampled_from(["0.05", "0.1", "0.15", "0.3"]),
+    )
+    @example(n=5, names=["4cycle"], twentieths=[2, 0], delta="0.1")
+    @example(n=5, names=["4path", "triangle"], twentieths=[6, 2], delta="0.15")
+    @example(n=4, names=["4cycle", "3star"], twentieths=[1, 3], delta="0.3")
+    def test_matches_brute_force(self, n, names, twentieths, delta):
+        # every graph's densities from finite_density, windows read as exact
+        # decimals; cycle(4) and path(4) take the generic placement count
+        terms = [(ENUM_PATTERNS[name], t / 20) for name, t in zip(names, twentieths)]
+        rep = enumerate_Z(n, ConstraintVector(tuple(terms), float(delta)))
+        graphs = _all_graphs(n)
+        z = sum(
+            all(pat.k <= n and abs(dens[pat] - Fraction(str(t))) < Fraction(delta)
+                for pat, t in terms)
+            for _, _, dens in graphs
+        )
+        assert rep.z == z
+        assert rep.total == len(graphs)
+        hist = Counter((e, t) for e, t, _ in graphs)
+        assert rep.histogram == tuple((e, t, c) for (e, t), c in sorted(hist.items()))
+
+    def test_counts_read_at_a_pinned_tree(self):
+        # values read from the whole-range enumeration this replaced
+        rep = enumerate_Z(7, ConstraintVector.edge_triangle(0.5, 0.12, 0.05))
+        assert rep.z == 518994 and len(rep.histogram) == 110
+        digest = hashlib.sha256(json.dumps(rep.histogram).encode()).hexdigest()
+        assert digest[:16] == "a71a74b9a7aad310"
+        c4 = ConstraintVector(((SubgraphPattern.cycle(4), 0.1),), 0.08)
+        assert enumerate_Z(6, c4).z == 22407
+        star = ConstraintVector(((SubgraphPattern.star(3), 0.2), (EDGE, 0.5)), 0.15)
+        assert enumerate_Z(6, star).z == 16870
+
+    def test_memory_stays_small_at_the_cap(self):
+        # one neighbourhood of the last vertex at a time: count arrays of
+        # 2^15 low graphs, not of all 2^21 graphs (50 MB traced)
+        tracemalloc.start()
+        try:
+            enumerate_Z(7, ConstraintVector.edge_triangle(0.5, 0.12, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_signed_pattern_rejected(self):
         cons = ConstraintVector(((SubgraphPattern.signed_two_star(), 0.2),), 0.1)
