@@ -310,9 +310,8 @@ def _cmd_sample(opts):
         for si, g in enumerate(run.graphs):
             fname = f"chain{ci:02d}_sample{si:03d}.txt"
             save_finite_graph(g, os.path.join(out_dir, fname))
-            step = cfg.burn_in_steps + si * cfg.interval_steps
             rows.append(
-                [ci, si, step] + [f"{d!r}" for d in run.densities[si].tolist()]
+                [ci, si, cfg.sample_step(si)] + [f"{d!r}" for d in run.densities[si].tolist()]
             )
         summaries.append(
             {

@@ -1,21 +1,25 @@
 """Constrained entropy maximization over m-podal step graphons.
 
 Implements the variational principle: maximize graphon Shannon entropy
-subject to pattern-density constraints, by augmented-Lagrangian projected
-gradient ascent with analytic gradients and deterministic multistart.
-Block values are kept strictly inside (0,1) during ascent because the
-entropy gradient diverges at the endpoints; masses are optimized as
-normalized positive variables so they stay exactly on the simplex.
+subject to pattern-density constraints, by an augmented Lagrangian (AL)
+whose inner ascent takes projected-Newton steps, with analytic gradients and
+deterministic multistart.  Block values are kept strictly inside (0,1)
+during ascent because the entropy gradient diverges at the endpoints;
+masses are optimized as normalized positive variables so they stay exactly
+on the simplex.
 
 One AL driver (`_multistart`, `_ascend`, `_backtrack`) solves every start of
 one problem as one NumPy batch of flat parameter rows theta, in which each
-start takes the same steps, bit for bit, as it would alone.  It owns the
-rules both problems share: multipliers and penalty schedule,
-Barzilai-Borwein steps, Armijo backtracking, the stationarity, stall and
-hopeless-start stops and the best-pick.  A geometry object supplies the
-rest: `_GraphonGeometry` here (theta = masses and upper-triangle values,
-feasible rows polished), and `phases.permuton._PermutonGeometry` (theta =
-log of a grid permuton, Sinkhorn projection onto uniform marginals).
+start takes the same steps, up to rounding, as it would alone.  It owns the
+rules both problems share: multipliers and penalty schedule, Armijo
+backtracking, the stationarity, stall and hopeless-start stops and the
+best-pick.  A geometry object supplies the rest: `_GraphonGeometry` here
+(theta = masses and upper-triangle values; Newton directions from a
+finite-difference AL Hessian in coordinates that keep the masses on the
+simplex, and a Newton-KKT finish of the feasible rows), and
+`phases.permuton._PermutonGeometry` (theta = log of a grid permuton,
+gradient steps with Barzilai-Borwein sizes, Sinkhorn projection onto
+uniform marginals).
 
 `constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
 at an m whose best graphon passes a block-insertion certificate.  At a
@@ -25,9 +29,9 @@ infinitesimal mass, whatever its row, raises the Lagrangian to first order
 Kenyon, Radin, Ren & Sadun 2017).  While no m is feasible the same test reads
 the residual -|t(q) - alpha|^2 / 2 instead: neither the graphon's own
 coordinates nor a new block lower it to first order.  The row is searched by
-the same driver's ascent, on `_InsertionGeometry`.  Where the certificate
-fails, the escalation stops after two sizes without gain, or two sizes whose
-worst residual ties the best.
+the same driver's gradient ascent, on `_InsertionGeometry`.  Where the
+certificate fails, the escalation stops after two sizes without gain, or two
+sizes whose worst residual ties the best.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gradients import DensityEvaluator, EntropyObjective, _dot, mass_chain_rule
+from .gradients import DensityEvaluator, EntropyObjective, _dot, _mv, _vm, mass_chain_rule
 from .graphon import (
     ConstraintVector,
     StepGraphon,
@@ -63,14 +67,23 @@ _PENALTY_GROWTH = 5.0  # after every round that does not stop the start
 # so a gain at most _ESCALATION_TOL starts no m + 1 gain that the escalation
 # would count.  The cells it stops on the optimize panel, the criterion 2
 # and 3 targets and the bench scan tile read gains below 1e-15 and KKT
-# residuals below 3e-13; on a 64-target edge/triangle grid, stops read at
-# most 6e-12 and 4e-10, and m + 1 then gains at most 2e-10.  Criterion 6's
-# (0.5, 0.15), where m = 3 still gains 7e-10, reads 9e-7 and 2e-6.
+# residuals below 3e-13; on a 64-target edge/triangle grid at the scan
+# defaults it stops 62 cells, which read at most 1.5e-13 and 6e-12, and
+# m + 1 then gains at most 4.2e-8, an AL point within feasibility_tol.
+# Criterion 6's (0.5, 0.15) stops at m = 2 with 1.1e-14 and 8.7e-14.
 _INSERTION_TOL = _ESCALATION_TOL
 _KKT_TOL = 1e-9
 _INSERTION_MASS = 2.0**-30  # new-block mass at which its row gradient is read
 _INSERTION_RANDOM_ROWS = 4  # random rows the ascent starts from, with the old rows
 _INSERTION_STEPS = 15  # ascent steps per row
+# _GraphonGeometry's Newton steps: the central-difference step of the AL
+# Hessian in theta, the smallest eigenvalue magnitude a Newton direction
+# divides by (smaller ones count as 0 in the KKT finish), the finish's
+# Newton-KKT steps, and the largest gap a finished point may keep
+_HESSIAN_STEP = 1e-5
+_EIG_FLOOR = 1e-8
+_KKT_STEPS = 3
+_KKT_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -303,6 +316,22 @@ def _al(obj, g, lam, rho):
     return obj - _dot(lam, g) - 0.5 * rho * _dot(g, g)
 
 
+class _GradientSteps:
+    """Steps along the AL gradient itself, each row's first trial step set by
+    Barzilai-Borwein and capped at steps[1]: the insertion geometry here and
+    phases.permuton._PermutonGeometry."""
+
+    def direction(self, theta, grad, lam, rho):
+        return grad
+
+    def next_step(self, eta, dth, dgr):
+        """Barzilai-Borwein (spectral) step for the next trial."""
+        denom = -_dot(dth, dgr)
+        bb = denom > 1e-18
+        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
+        return np.minimum(np.maximum(eta, 1e-10), self.steps[1])
+
+
 class _GraphonGeometry:
     """m-block step graphons for the AL driver: theta = (masses, upper-triangle
     values), a point is (c, p).
@@ -310,21 +339,35 @@ class _GraphonGeometry:
     The driver sees a problem only through such a geometry: `start` and
     `point` map batches of points to theta and back, `measure` gives the
     objective and constraint gaps of a batch of points, `project` moves rows
-    of theta back into the domain, `grads` gives the AL value and its ascent
-    direction, `gain` the first-order gain of a step that the Armijo test asks
-    a share of, and `finish` yields each final row as (point, objective,
-    gaps).  `steps` holds the first trial step of a round and the largest
-    Barzilai-Borwein step, in the units of theta; `stationary` says which rows
-    the driver may stop, by the tolerance `gtol`.  phases.permuton defines the
-    other geometry."""
+    of theta back into the domain, `grads` gives the AL value and gradient,
+    `direction` each row's ascent direction, `gain` the first-order gain of a
+    step that the Armijo test asks a share of, and `finish` yields each final
+    row as (point, objective, gaps).  A row's first trial step is steps[0],
+    then what `next_step` says; `stationary` says which rows the driver may
+    stop, by the tolerance `gtol`.  _GradientSteps and phases.permuton define
+    the other geometries.
+
+    Here the direction is projected Newton (Bertsekas 1982) in reduced
+    coordinates x: mass directions e_i - e_ref, ref the row's largest mass,
+    which keep the masses on the simplex, and the values.  A coordinate on
+    its floor or ceiling whose gradient points out is held fixed, the AL
+    Hessian in x (`_hessian`) is made negative definite by flipping and
+    flooring its eigenvalues at _EIG_FLOOR, and every trial starts at step 1.
+    `finish` replaces the AL point of a feasible row by a Newton-KKT point
+    where that is a strict local maximum (`_kkt`)."""
 
     keys = ("c", "p")
-    steps = (0.05, 1e3)
+    steps = (1.0,)
     gtol = 1e-9
 
     def __init__(self, objective, evals, targets, m, opts):
         self.objective, self.evals, self.targets, self.m, self.opts = (
             objective, evals, targets, m, opts)
+        free = len(_triu(m)[0][0])
+        # per reduced coordinate: at or below near_lo it is on its floor, at
+        # or above near_hi on its ceiling (masses have none)
+        self.near_lo = np.repeat([2.0 * _MASS_FLOOR, 2.0 * _VALUE_FLOOR], [m - 1, free])
+        self.near_hi = np.repeat([np.inf, 1.0 - 2.0 * _VALUE_FLOOR], [m - 1, free])
 
     def start(self, c, p):
         (iu0, iu1), _ = _triu(self.m)
@@ -341,11 +384,16 @@ class _GraphonGeometry:
         return self.objective.value(c, p), g
 
     def project(self, theta):
-        """Masses floored and renormalized, values kept inside (0,1)."""
+        """Masses floored and the others rescaled to the rest of the unit
+        sum, so that a mass on its floor stays there; values kept inside
+        (0,1)."""
         m = self.m
         w = np.maximum(theta[:, :m], _MASS_FLOOR)
+        floored = w == _MASS_FLOOR
+        rest = np.where(floored, 0.0, w)
+        scale = (1.0 - _MASS_FLOOR * floored.sum(axis=1)) / rest.sum(axis=1)
         u = np.minimum(np.maximum(theta[:, m:], _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
-        return np.concatenate([w / w.sum(axis=1, keepdims=True), u], axis=1)
+        return np.concatenate([np.where(floored, w, w * scale[:, None]), u], axis=1)
 
     def stationary(self, theta, grad):
         """Rows whose projected-gradient step in theta is below gtol."""
@@ -362,96 +410,167 @@ class _GraphonGeometry:
             coef = lam[:, j] + rho * g[:, j]
             dv = dv - coef[:, None, None] * dvj
             dc = dc - coef[:, None] * dcj
-        (iu0, iu1), _ = _triu(self.m)
-        grad = np.concatenate([mass_chain_rule(c, dc), dv[:, iu0, iu1]], axis=1)
-        return _al(obj, g, lam, rho), g, grad, obj
+        return _al(obj, g, lam, rho), g, _theta_grads(c, dv, dc), obj
 
     def gain(self, grad, theta_0, theta):
         step, m = theta - theta_0, self.m
         return _dot(grad[:, m:], step[:, m:]) + _dot(grad[:, :m], step[:, :m])
 
+    def next_step(self, eta, dth, dgr):
+        return np.ones_like(eta)
+
+    def _basis(self, theta):
+        """Per row, the theta directions of the reduced coordinates as
+        columns, (n, m + T, m - 1 + T)."""
+        n, d = theta.shape
+        m = self.m
+        ref = theta[:, :m].argmax(axis=1)
+        k = np.arange(m - 1)
+        rows, others = np.arange(n)[:, None], k + (k >= ref[:, None])
+        basis = np.zeros((n, d, d - 1))
+        basis[rows, others, k] = 1.0
+        basis[rows, ref[:, None], k] = -1.0
+        basis[:, m:, m - 1 :] = np.eye(d - m)
+        return basis
+
+    def _hessian(self, theta, basis, x, lam, rho):
+        """AL Hessian in the reduced coordinates, (n, r, r), by central
+        differences of `grads` along each column of basis, the 2 r rows of
+        every start in one call.  The step is _HESSIAN_STEP, or half the
+        distance from x to 0 or 1 where that is shorter, so that no
+        perturbed value leaves (0,1) and no mass turns negative."""
+        n, d, r = basis.shape
+        h = np.minimum(_HESSIAN_STEP, 0.5 * np.minimum(x, 1.0 - x))
+        move = np.swapaxes(basis, 1, 2) * h[:, :, None]
+        rows = np.concatenate([theta[:, None] + move, theta[:, None] - move], axis=1)
+        _, _, grad, _ = self.grads(rows.reshape(-1, d), np.repeat(lam, 2 * r, axis=0),
+                                   np.repeat(rho, 2 * r))
+        grad = grad.reshape(n, 2, r, d)
+        hess = (grad[:, 0] - grad[:, 1]) / (2.0 * h[:, :, None]) @ basis
+        return 0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+    def direction(self, theta, grad, lam, rho):
+        """The projected-Newton direction in theta.  Held coordinates do not
+        move: those on their floor or ceiling whose gradient points out, and
+        then those there whose Newton step points out, until none does."""
+        basis = self._basis(theta)
+        x = _coords(theta, basis)
+        gr = _vm(grad, basis)
+        low, high = x <= self.near_lo, x >= self.near_hi
+        held = (low & (gr < 0.0)) | (high & (gr > 0.0))
+        hess = self._hessian(theta, basis, x, lam, rho)
+        step = np.empty_like(gr)
+        rows = np.arange(len(gr))  # rows whose step is still to be found
+        while rows.size:
+            keep = held[rows]
+            w, v = np.linalg.eigh(_held(hess[rows], keep))
+            s = _mv(v, _vm(np.where(keep, 0.0, gr[rows]), v) / np.maximum(np.abs(w), _EIG_FLOOR))
+            step[rows] = np.where(keep, 0.0, s)
+            out = (low[rows] & (s < 0.0)) | (high[rows] & (s > 0.0))
+            out &= ~keep
+            held[rows] |= out
+            rows = rows[out.any(axis=1)]
+        return _mv(basis, step)
+
     def finish(self, theta, g, obj):
-        """Feasible rows are polished one by one."""
-        for i in range(len(theta)):
-            if np.abs(g[i]).max(initial=0.0) < self.opts.feasibility_tol:
-                yield self.polish(theta[i : i + 1])
-            else:
-                yield tuple(a[0] for a in self.point(theta[i : i + 1])), obj[i], g[i]
+        """Each row as it is, but for the feasible rows that `_kkt` moves to
+        a strict local maximum with every gap at most _KKT_GAP."""
+        theta, g, obj = theta.copy(), g.copy(), obj.copy()
+        feas = np.flatnonzero(np.abs(g).max(axis=1, initial=0.0) < self.opts.feasibility_tol)
+        if feas.size:
+            th, ok = self._kkt(theta[feas])
+            obj_k, g_k = self.measure(*self.point(th))
+            ok &= np.abs(g_k).max(axis=1, initial=0.0) <= _KKT_GAP
+            rows = feas[ok]
+            theta[rows], g[rows], obj[rows] = th[ok], g_k[ok], obj_k[ok]
+        return zip(zip(*self.point(theta)), obj, g)
 
-    def polish(self, theta):
-        """Tangent-space ascent with Gauss-Newton feasibility restoration.
+    def _kkt(self, theta):
+        """_KKT_STEPS Newton steps on the KKT equations grad S = A^T lam,
+        t = alpha of the problem with the coordinates on their floor or
+        ceiling held (Nocedal & Wright 2006, ch. 18).  Each step solves
+        K (dx, -dlam) = -(grad L, gaps), K = [[H, A^T], [A, 0]], in the reduced
+        coordinates, with H the Hessian of L = S - lam . t (`_hessian` at
+        rho = 0) and A the constraint Jacobian; lam starts from least squares.
+        K is inverted on its eigenvalues above _EIG_FLOOR in magnitude, so
+        that constraints that A repeats (at m = 1, or at a constant graphon)
+        take the least-squares step.
 
-        Sharpens a feasible AL solution, one row theta (1, m + T): up to 200
-        steps along the objective gradient projected onto the tangent space of
-        the constraint manifold, restoring t(q) = alpha after each step.
-        First-order AL alone crawls along the manifold; this recovers the last
-        digits.  Returns (point, objective, gaps)."""
-        (iu0, iu1), _ = _triu(self.m)
-        evals, opts = self.evals, self.opts
-        ridge = 1e-14 * np.eye(len(evals))
-
-        def split(theta):
+        Returns (theta, accepted).  A row is accepted when it stays inside
+        the box and, at each of its iterates, the last included, K has no
+        more than len(evals) eigenvalues above -_EIG_FLOOR.  K has rank(A)
+        positive and len(evals) - rank(A) zero eigenvalues besides those of
+        the reduced Hessian on the constraints' tangent space (Sylvester's
+        law of inertia), so that Hessian is then negative definite, and the
+        point a strict local maximum, not a saddle.  A rejected row stops
+        moving."""
+        n, k = len(theta), len(self.evals)
+        basis = self._basis(theta)
+        x = _coords(theta, basis)
+        free = (x > self.near_lo) & (x < self.near_hi)
+        r = free.shape[1]
+        lo = np.repeat([_MASS_FLOOR, _VALUE_FLOOR], [self.m - 1, r - self.m + 1])
+        ok = np.ones(n, dtype=bool)
+        lam = None
+        for it in range(_KKT_STEPS + 1):
             c, p = self.point(theta)
-            return c[0], p[0]
-
-        def constraints_at(theta):
-            cv, pv = split(theta)
-            g, jac = np.empty(len(evals)), np.empty((len(evals), theta.shape[1]))
-            for j, ev in enumerate(evals):
-                t, dvj, dcj = ev.value_and_grads(cv, pv)
-                g[j] = t - self.targets[j]
-                jac[j] = np.concatenate([mass_chain_rule(cv, dcj), dvj[iu0, iu1]])
-            return g, jac
-
-        def restore(theta):
-            for _ in range(20):
-                g, jac = constraints_at(theta)
-                if np.abs(g).max(initial=0.0) < 0.1 * opts.feasibility_tol:
-                    return theta, True
-                try:
-                    lam = np.linalg.solve(jac @ jac.T + ridge, g)
-                except np.linalg.LinAlgError:
-                    return theta, False
-                theta = self.project(theta - jac.T @ lam)
-            g, _ = constraints_at(theta)
-            return theta, bool(np.abs(g).max(initial=0.0) < opts.feasibility_tol)
-
-        theta, ok = restore(theta)
-        cv, pv = split(theta)
-        obj = self.objective.value(cv, pv)
-        step = 0.05
-        for _ in range(200 if ok else 0):
-            _, dv, dc = self.objective.value_and_grads(cv, pv)
-            grad = np.concatenate([mass_chain_rule(cv, dc), dv[iu0, iu1]])
-            _, jac = constraints_at(theta)
-            tang = grad - jac.T @ np.linalg.solve(jac @ jac.T + ridge, jac @ grad)
-            if np.abs(tang).max(initial=0.0) < 1e-12:
+            vals, grads = [], []
+            for ev in (self.objective, *self.evals):
+                val, dv, dc = ev.value_and_grads(c, p)
+                vals.append(val)
+                grads.append(_vm(_theta_grads(c, dv, dc), basis) * free)
+            jac_t = np.stack(grads[1:], axis=2)  # A^T, (n, r, k)
+            if lam is None:
+                lam = np.linalg.solve(np.swapaxes(jac_t, 1, 2) @ jac_t + 1e-14 * np.eye(k),
+                                      _vm(grads[0], jac_t)[..., None])[..., 0]
+            kkt = np.zeros((n, r + k, r + k))
+            kkt[:, :r, :r] = _held(self._hessian(theta, basis, x, lam, np.zeros(n)), ~free)
+            kkt[:, :r, r:] = jac_t
+            kkt[:, r:, :r] = np.swapaxes(jac_t, 1, 2)
+            w, v = np.linalg.eigh(kkt)
+            ok &= (w >= -_EIG_FLOOR).sum(axis=1) == k
+            if it == _KKT_STEPS:
                 break
-            improved = False
-            for _bt in range(30):
-                trial, feasible = restore(self.project(theta + step * tang))
-                if feasible:
-                    c_n, p_n = split(trial)
-                    obj_n = self.objective.value(c_n, p_n)
-                    if obj_n > obj + 1e-16:
-                        theta, cv, pv, obj = trial, c_n, p_n, obj_n
-                        improved = True
-                        step = min(step * 1.6, 10.0)
-                        break
-                step /= 2.0
-                if step < 1e-12:
-                    break
-            if not improved:
-                break
-        return (cv, pv), obj, constraints_at(theta)[0]
+            rhs = np.concatenate([_mv(jac_t, lam) - grads[0],
+                                  self.targets - np.stack(vals[1:], axis=1)], axis=1)
+            zero = np.abs(w) <= _EIG_FLOOR
+            sol = _mv(v, np.where(zero, 0.0, _vm(rhs, v) / np.where(zero, 1.0, w)))
+            sol[~ok] = 0.0
+            theta = theta + _mv(basis, sol[:, :r])
+            lam = lam - sol[:, r:]
+            x = _coords(theta, basis)
+            ok &= ((x >= lo) & (x <= 1.0 - lo)).all(axis=1)
+        return theta, ok
+
+
+def _coords(theta, basis):
+    """The reduced coordinates' values: for each column of basis, the entry
+    of theta that it raises."""
+    return np.take_along_axis(theta, basis.argmax(axis=1), axis=1)
+
+
+def _held(hess, held):
+    """hess with the rows and columns of held coordinates those of -I."""
+    free = ~held
+    out = hess * (free[:, :, None] & free[:, None, :])
+    i = np.arange(hess.shape[1])
+    out[:, i, i] = np.where(held, -1.0, out[:, i, i])
+    return out
+
+
+def _theta_grads(c, dv, dc):
+    """Gradients (dV, dc) of a batch as gradients in theta: masses through
+    mass_chain_rule, then upper-triangle values."""
+    (iu0, iu1), _ = _triu(c.shape[-1])
+    return np.concatenate([mass_chain_rule(c, dc), dv[..., iu0, iu1]], axis=-1)
 
 
 def _ascend(geo, theta, lam, rho, opts):
     """Maximize the AL objective from each row of theta; returns (theta, g, obj).
 
-    Each row has its own Barzilai-Borwein step, Armijo backtracking and
-    stationarity, stall and failed-step stops, and leaves the batch when it
-    stops."""
+    Each row steps along geo.direction, with its own Armijo backtracking from
+    the trial step geo.next_step sets and its own stationarity, stall and
+    failed-step stops, and leaves the batch when it stops."""
     n = len(theta)
     out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
     rows = np.arange(n)
@@ -470,7 +589,8 @@ def _ascend(geo, theta, lam, rho, opts):
             )
             if not rows.size:
                 break
-        ok, theta_n, f_n = _backtrack(geo, theta, grad, f, eta, lam, rho)
+        direction = geo.direction(theta, grad, lam, rho)
+        ok, theta_n, f_n = _backtrack(geo, theta, direction, grad, f, eta, lam, rho)
         delta_f = f_n - f
         theta_0, grad_0 = theta, grad
         theta = theta_n
@@ -478,17 +598,13 @@ def _ascend(geo, theta, lam, rho, opts):
         flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
         stall = np.where(flat, stall + 1, 0)
         stop = ~ok | (stall >= 3) | geo.stationary(theta, grad)
-        # Barzilai-Borwein (spectral) step for the next trial
-        dth, dgr = theta - theta_0, grad - grad_0
-        denom = -_dot(dth, dgr)
-        bb = denom > 1e-18
-        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
-        eta = np.minimum(np.maximum(eta, 1e-10), geo.steps[1])
+        eta = geo.next_step(eta, theta - theta_0, grad - grad_0)
     return out
 
 
-def _backtrack(geo, theta, grad, f, eta, lam, rho):
-    """Armijo backtracking from each row along its gradient.
+def _backtrack(geo, theta, direction, grad, f, eta, lam, rho):
+    """Armijo backtracking from each row along its direction, the test's gain
+    read from its gradient.
 
     Trial j steps by eta / 2^j, for j < 60 while that is at least 1e-14; the
     first trial passing the Armijo test is taken.  Trials are independent, so
@@ -504,7 +620,7 @@ def _backtrack(geo, theta, grad, f, eta, lam, rho):
         valid = (steps >= 1e-14) | (j == 0)
         src = np.repeat(rows, size)
         th0, g0 = theta[src], grad[src]
-        th = geo.project(th0 + steps.reshape(-1, 1) * g0)
+        th = geo.project(th0 + steps.reshape(-1, 1) * direction[src])
         obj, gt = geo.measure(*geo.point(th))
         ft = _al(obj, gt, lam[src], rho[src])
         gain = geo.gain(g0, th0, th)
@@ -680,7 +796,7 @@ def maximize_entropy(
     )
 
 
-class _InsertionGeometry:
+class _InsertionGeometry(_GradientSteps):
     """Rows r in [0,1]^k of a block inserted into the k-block graphon (c, p),
     for the AL driver's ascent with no constraints: a row's objective is the
     new block's component of mass_chain_rule(c', dL/dc') at mass 0, for
@@ -690,7 +806,7 @@ class _InsertionGeometry:
     new row's value gradient at mass _INSERTION_MASS over that mass, which is
     exact up to a relative O(_INSERTION_MASS)."""
 
-    steps = _GraphonGeometry.steps
+    steps = (0.05, 1e3)
     gtol = _GraphonGeometry.gtol
     stationary = _GraphonGeometry.stationary
 
@@ -736,18 +852,16 @@ class _InsertionGeometry:
 
 
 def _theta_grad(ev, c, p) -> np.ndarray:
-    """Gradient of ev at (c, p) in the coordinates theta of _GraphonGeometry:
-    masses through mass_chain_rule, then upper-triangle values."""
-    (iu0, iu1), _ = _triu(len(c))
-    _, dv, dc = ev.value_and_grads(c, p)
-    return np.concatenate([mass_chain_rule(c, dc), dv[iu0, iu1]])
+    """Gradient of ev at (c, p) in the coordinates theta of _GraphonGeometry."""
+    return _theta_grads(c, *ev.value_and_grads(c, p)[1:])
 
 
 def _multipliers(q: StepGraphon, evals) -> tuple[np.ndarray, float]:
     """(lam, KKT residual) at q: lam solves grad S = J^T lam in the
     least-squares sense, in the coordinates theta of _GraphonGeometry, from
-    the normal equations with polish's ridge (np.linalg.lstsq pages in another
-    1 MB of LAPACK); the residual is |grad S - J^T lam|_inf."""
+    the normal equations with a 1e-14 ridge, as in _GraphonGeometry._kkt
+    (np.linalg.lstsq pages in another 1 MB of LAPACK); the residual is
+    |grad S - J^T lam|_inf."""
     c, p = q.masses, q.values
     grad = _theta_grad(EntropyObjective, c, p)
     jac = np.array([_theta_grad(ev, c, p) for ev in evals])
@@ -821,10 +935,9 @@ def _insertion_gain(q: StepGraphon, evals, lam, entropy=True) -> float:
 
 def _ties(a: float, b: float, opts) -> bool:
     """Whether worst residual a ties b.  On an infeasible target the starts
-    stop as hopeless, not converged (at (0.3, 0.2) and m = 2, 7 of 8 starts
-    stop at round 5, the first that judges them, and the last at round 6), so
-    worst residuals within a relative _RESIDUAL_TIE_RTOL of each other say
-    nothing about m."""
+    stop as hopeless, not converged (at (0.3, 0.2) and m = 2, all 8 starts
+    stop at round 5, the first that judges them), so worst residuals within a
+    relative _RESIDUAL_TIE_RTOL of each other say nothing about m."""
     return a <= b * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphon import decimal_fraction
 from .gradients import _dot
-from .optimizer import _al, _multistart
+from .optimizer import _al, _GradientSteps, _multistart
 
 MARGINAL_TOL = 1e-9
 EXACT_PATTERN_CAP = 3
@@ -415,7 +415,7 @@ def _perm_entropy(g: np.ndarray):
     return 0.0 - (gc * log_g).sum(axis=(1, 2)) / k2, (-log_g - 1.0) / k2
 
 
-class _PermutonGeometry:
+class _PermutonGeometry(_GradientSteps):
     """Grid permutons at resolution r for the AL driver of phases.optimizer:
     theta = log g (flattened), a point is (g,).
 
@@ -423,9 +423,9 @@ class _PermutonGeometry:
     step in g, and the projection restores uniform marginals by Sinkhorn
     scaling, which is itself multiplicative.  Trial points get at most 400
     Sinkhorn sweeps; finish runs the tight projection and recomputes entropy
-    and gaps.  `steps` means what it means for
-    phases.optimizer._GraphonGeometry, in units of log g, and `gtol` bounds
-    the gradient that `stationary` tests."""
+    and gaps.  `steps` holds the first trial step and the largest
+    Barzilai-Borwein step of phases.optimizer._GradientSteps, in units of
+    log g, and `gtol` bounds the gradient that `stationary` tests."""
 
     keys = ("g",)
     steps = (0.5, 50.0)

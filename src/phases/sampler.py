@@ -56,8 +56,8 @@ class SamplerInitError(RuntimeError):
 class ChainConfig:
     """Metropolis chain configuration: burn_in and sample_interval default to
     50 n^2 and n^2 edge-toggle proposals.  Sample k is taken after proposal
-    burn_in + k sample_interval (at least 1), and the chain ends there at its
-    last sample, or after the burn-in when it retains none."""
+    sample_step(k) = burn_in + k sample_interval (at least 1), and the chain
+    ends there at its last sample, or after the burn-in when it retains none."""
 
     n: int
     constraints: ConstraintVector
@@ -87,12 +87,16 @@ class ChainConfig:
     def interval_steps(self) -> int:
         return self.n * self.n if self.sample_interval is None else self.sample_interval
 
+    def sample_step(self, k: int) -> int:
+        """The proposal after which sample k is taken."""
+        return max(1, self.burn_in_steps + k * self.interval_steps)
+
     @property
     def total_steps(self) -> int:
         """Proposals the chain makes."""
         if self.n_samples == 0:
             return self.burn_in_steps
-        return max(1, self.burn_in_steps + (self.n_samples - 1) * self.interval_steps)
+        return self.sample_step(self.n_samples - 1)
 
 
 @dataclass
@@ -385,7 +389,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
     accepted = 0
     last_accept = 0  # step of the last accepted toggle; rejections since set stalled
     stalled = False
-    next_sample = cfg.burn_in_steps
+    next_sample = cfg.sample_step(0)
     for start in range(0, total, _BLOCK):
         k = min(_BLOCK, total - start)
         draws = iter(rng.integers(bounds[: 2 * k]).tolist())
@@ -399,7 +403,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
             while step >= next_sample and len(graphs) < cfg.n_samples:
                 graphs.append(FiniteGraph(tracker.adj))
                 rows.append(tracker.densities())
-                next_sample += cfg.interval_steps
+                next_sample = cfg.sample_step(len(graphs))
     stalled = stalled or total - last_accept >= sweep
     if stalled:
         logger.warning(

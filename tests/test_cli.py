@@ -130,6 +130,17 @@ def test_sample_writes_edge_lists_and_manifest(tmp_path, capsys):
     assert header == "chain,sample,step,density_0,density_1"
 
 
+def test_sample_steps_are_the_proposals_each_sample_follows(tmp_path, capsys):
+    # without a burn-in the first sample follows the first proposal, not step 0
+    out_dir = tmp_path / "chains"
+    code = run(tmp_path, "sample", "--n", "16", "--eps", "0.5", "--tau", "0.125",
+               "--delta", "0.05", "--samples", "2", "--burn-in", "0",
+               "--interval", "20", "--out-dir", str(out_dir))
+    assert code == 0
+    rows = (out_dir / "samples.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["1", "20"]
+
+
 def test_sample_without_proposals_is_a_usage_error(tmp_path, capsys):
     code = run(tmp_path, "sample", "--n", "16", "--eps", "0.5", "--tau", "0.125",
                "--delta", "0.05", "--samples", "2", "--burn-in", "0",

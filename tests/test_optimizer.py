@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phases.graphon import (
     ConstraintVector,
@@ -12,12 +14,14 @@ from phases.graphon import (
     subgraph_density,
 )
 from phases import optimizer
-from phases.gradients import DensityEvaluator
+from phases.gradients import DensityEvaluator, EntropyObjective, _vm
 from phases.optimizer import (
     _ESCALATION_TOL,
     _INSERTION_TOL,
     _KKT_TOL,
     OptimizerOptions,
+    _coords,
+    _GraphonGeometry,
     _insertion_certificate,
     _InsertionGeometry,
     _multipliers,
@@ -423,18 +427,22 @@ def test_certificate_refuses_points_that_are_not_kkt_points(monkeypatch):
     assert _multipliers(q, evals)[1] > 1e-3
     assert not _insertion_certificate(q, evals)[1]
     # a KKT point of m = 2 that inserting a third block improves: the
-    # escalation goes on to m = 3 and gains there
+    # symmetric bipodal at (0.4, 0.07), S = 0.3011164708
     cons = ConstraintVector.edge_triangle(0.4, 0.07)
-    r2 = maximize_entropy(cons, 2, PANEL)
-    assert _multipliers(r2.graphon, evals)[1] <= _KKT_TOL
-    gain, certified = _insertion_certificate(r2.graphon, evals)
+    sym = reference_construction(0.4, 0.07)
+    assert _multipliers(sym, evals)[1] <= _KKT_TOL
+    gain, certified = _insertion_certificate(sym, evals)
     assert gain > 0.1 and not certified
     # the ascent finds at least the best row of a 201 x 201 grid
     grid = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)
-    geo = _InsertionGeometry(r2.graphon.masses, r2.graphon.values, evals, _multipliers(r2.graphon, evals)[0])
+    geo = _InsertionGeometry(sym.masses, sym.values, evals, _multipliers(sym, evals)[0])
     assert gain >= geo.measure(geo.project(grid))[0].max() - 1e-12
+    # the escalation finds the asymmetric bipodal there (masses 0.8015 and
+    # 0.1985), certified at m = 2; 0.3263028416 is what a 3-block graphon
+    # with a block of mass 1.4e-5 reaches
     res = constrained_entropy(cons, OptimizerOptions(n_starts=8, m_max=3))
-    assert res.m == 3 and res.entropy > r2.entropy + 0.01
+    assert res.podality == 2 and res.escalation_stop == "certified"
+    assert res.entropy >= 0.3263028416 > graphon_entropy(sym) + 0.01
     # the anchor's m = 2 optimum gains nothing by an insertion; with its
     # KKT residual read as 1e-3 the escalation must go on to m = 3
     inner = optimizer._multipliers
@@ -488,3 +496,137 @@ def test_pattern_above_vertex_cap_is_rejected():
         bounded_signed_max(SubgraphPattern.signed_two_star(), big, 2, FAST)
     with pytest.raises(PatternTooLargeError, match="7 vertices"):
         bounded_signed_max(big, SubgraphPattern.signed_square(), 2, FAST)
+
+
+# ---------------------------------------------------------------------------
+# the Newton steps of _GraphonGeometry
+
+NEWTON = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+CONSTRAINT_SETS = {"edge-triangle": (EDGE, TRI), "edge-signed-square": (EDGE, SubgraphPattern.signed_square())}
+
+
+def _geometry(name, m, targets=(0.3, 0.02)):
+    evals = [DensityEvaluator(pat) for pat in CONSTRAINT_SETS[name]]
+    return _GraphonGeometry(EntropyObjective, evals, np.array(targets), m, OptimizerOptions())
+
+
+def _interior_theta(rng, m):
+    c = rng.dirichlet(np.full(m, 2.0))
+    c = np.clip(c, 0.05, None)
+    c /= c.sum()
+    u = rng.uniform(0.05, 0.95, m * (m + 1) // 2)
+    return np.concatenate([c, u])[None]
+
+
+@NEWTON
+@given(m=st.integers(1, 6), name=st.sampled_from(sorted(CONSTRAINT_SETS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_hessian_matches_second_differences_of_the_al(m, name, seed):
+    rng = np.random.default_rng(seed)
+    geo = _geometry(name, m)
+    theta = _interior_theta(rng, m)
+    lam, rho = rng.normal(size=(1, 2)), rng.uniform(0.0, 50.0, 1)
+    basis = geo._basis(theta)
+    hess = geo._hessian(theta, basis, _coords(theta, basis), lam, rho)[0]
+    r = basis.shape[2]
+    h = 1e-4
+    moves = h * np.swapaxes(basis[0], 0, 1)  # (r, d): one step along each column
+
+    def al(rows):
+        return geo.grads(rows, np.repeat(lam, len(rows), axis=0), np.repeat(rho, len(rows)))[0]
+
+    # the second difference of the AL value along columns j and k
+    signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    rows = np.array([theta[0] + a * moves[j] + b * moves[k]
+                     for j in range(r) for k in range(r) for a, b in signs])
+    f = al(rows).reshape(r, r, 4)
+    fd = (f[..., 0] - f[..., 1] - f[..., 2] + f[..., 3]) / (4.0 * h * h)
+    np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(fd).max()))
+    np.testing.assert_array_equal(hess, hess.T)
+
+
+def _theta_on_bounds(rng, m):
+    """An interior theta with some masses on _MASS_FLOOR and some values on
+    the floor or ceiling."""
+    theta = _interior_theta(rng, m)[0]
+    c, u = theta[:m], theta[m:]
+    floored = rng.uniform(size=m) < 0.4
+    floored[np.argmax(c)] = False
+    c[floored] = optimizer._MASS_FLOOR
+    c[~floored] *= (1.0 - floored.sum() * optimizer._MASS_FLOOR) / c[~floored].sum()
+    side = rng.uniform(size=len(u))
+    u[side < 0.25] = optimizer._VALUE_FLOOR
+    u[side > 0.75] = 1.0 - optimizer._VALUE_FLOOR
+    return theta[None]
+
+
+def test_newton_direction_ascends_and_holds_active_coordinates():
+    rng = np.random.default_rng(11)
+    held_masses = held_values = 0
+    for trial in range(60):
+        m = 2 + trial % 4
+        geo = _geometry(list(CONSTRAINT_SETS)[trial % 2], m)
+        theta = _theta_on_bounds(rng, m)
+        lam, rho = rng.normal(scale=3.0, size=(1, 2)), rng.uniform(0.0, 100.0, 1)
+        _, _, grad, _ = geo.grads(theta, lam, rho)
+        d = geo.direction(theta, grad, lam, rho)
+        basis = geo._basis(theta)
+        # d in the reduced coordinates: each column raises its own entry of theta
+        x, gr = _coords(theta, basis)[0], _vm(grad, basis)[0]
+        step = _coords(theta + d, basis)[0] - x
+        assert float(grad[0] @ d[0]) > 0.0
+        low, high = x <= geo.near_lo, x >= geo.near_hi
+        out = (low & (gr < 0.0)) | (high & (gr > 0.0))
+        assert np.all(step[out] == 0.0)
+        # nothing on a floor or ceiling moves out, and a step keeps every
+        # held coordinate where it is, masses on the floor included
+        assert not np.any(low & (step < 0.0)) and not np.any(high & (step > 0.0))
+        moved = geo.project(theta + 1e-3 * d)
+        assert np.array_equal(_coords(moved, basis)[0][out], x[out])
+        held_masses += int(out[: m - 1].sum())
+        held_values += int(out[m - 1 :].sum())
+    assert held_masses > 0 and held_values > 0
+
+
+def test_kkt_finish_refuses_a_saddle():
+    # the symmetric bipodal at (0.4, 0.07) is a KKT point of m = 2 whose
+    # reduced Hessian has a positive direction: the finish keeps it as it is
+    cons = ConstraintVector.edge_triangle(0.4, 0.07)
+    evals = [DensityEvaluator(pat) for pat in cons.patterns]
+    geo = _GraphonGeometry(EntropyObjective, evals, cons.targets, 2, PANEL)
+    q = reference_construction(0.4, 0.07)
+    theta = geo.start(q.masses[None], q.values[None])
+    lam, kkt = _multipliers(q, evals)
+    assert kkt <= _KKT_TOL
+    basis = geo._basis(theta)
+    hess = geo._hessian(theta, basis, _coords(theta, basis), lam[None], np.zeros(1))[0]
+    jac = np.array([optimizer._theta_grad(ev, q.masses, q.values) @ basis[0] for ev in evals])
+    tangent = np.linalg.svd(jac)[2][len(evals):].T
+    assert np.linalg.eigvalsh(tangent.T @ hess @ tangent).max() > 1e-3
+    assert not geo._kkt(theta)[1][0]
+    obj, g = geo.measure(*geo.point(theta))
+    (point, objective, gaps), = geo.finish(theta, g, obj)
+    assert np.array_equal(point[0], q.masses) and np.array_equal(point[1], q.values)
+    assert objective == obj[0] and np.array_equal(gaps, g[0])
+    # a feasible point near the asymmetric maximum is moved onto it
+    res = maximize_entropy(cons, 2, PANEL)
+    c, p = res.graphon.masses, res.graphon.values
+    theta = geo.start(c[None], p[None])
+    theta[0, 2] += 1e-9
+    obj, g = geo.measure(*geo.point(theta))
+    (point, objective, gaps), = geo.finish(theta, g, obj)
+    assert np.abs(gaps).max() <= optimizer._KKT_GAP
+    assert objective == pytest.approx(res.entropy, abs=1e-12)
+
+
+# above the ER curve: the finished m = 2 optima there are KKT points to the
+# certificate's tolerance, so the escalation stops without solving m = 3
+ABOVE_CURVE = [(0.35, 0.1), (0.4, 0.1), (0.3, 0.06), (0.45, 0.12), (0.5, 0.15), (0.275, 0.05)]
+
+
+@pytest.mark.parametrize("eps,tau", ABOVE_CURVE)
+def test_above_curve_cells_are_certified_at_m2(eps, tau):
+    res = constrained_entropy(ConstraintVector.edge_triangle(eps, tau), OptimizerOptions(n_starts=6, m_max=3))
+    assert res.feasible and res.m == 2 and res.podality == 2
+    assert res.escalation_stop == "certified"
+    assert max(res.residuals) <= 1e-12
