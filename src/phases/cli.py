@@ -56,10 +56,6 @@ class UsageError(Exception):
     pass
 
 
-class InfeasibleError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -223,19 +219,20 @@ def _cmd_entropy(opts):
 
 
 def _cmd_optimize(opts):
-    cons = _constraints_from_opts(opts)
     oo = _optimizer_options(opts)
+    m = opts.get("m")
     if opts.get("signed_objective"):
         res = bounded_signed_max(
             load_pattern(opts["signed_objective"]),
             load_pattern(opts["signed_zero"]),
-            int(opts["m"] or 2),
+            2 if m is None else int(m),
             oo,
         )
         _emit(res.to_dict(), opts["out"])
         return 0 if res.feasible else 2
-    if opts.get("m"):
-        res = maximize_entropy(cons, int(opts["m"]), oo)
+    cons = _constraints_from_opts(opts)
+    if m is not None:
+        res = maximize_entropy(cons, int(m), oo)
     else:
         res = constrained_entropy(cons, oo)
     _emit(res.to_dict(), opts["out"])

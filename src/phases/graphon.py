@@ -9,6 +9,7 @@ injective (finite-graph) densities live in :func:`finite_density`.
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,16 @@ def decimal_fraction(x) -> Fraction:
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     return Fraction(str(x))
+
+
+def _count_window(target: float, delta: float, denom: int) -> tuple[int, int]:
+    """Inclusive integer count bounds equivalent to the open density window
+    (target - delta, target + delta) for densities count / denom; targets and
+    delta are read at their decimal value (0.1 means 1/10), so a count exactly
+    on an edge is out."""
+    lo = (decimal_fraction(target) - decimal_fraction(delta)) * denom
+    hi = (decimal_fraction(target) + decimal_fraction(delta)) * denom
+    return math.floor(lo) + 1, math.ceil(hi) - 1
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:

@@ -29,9 +29,11 @@ infinitesimal mass, whatever its row, raises the Lagrangian to first order
 Kenyon, Radin, Ren & Sadun 2017).  While no m is feasible the same test reads
 the residual -|t(q) - alpha|^2 / 2 instead: neither the graphon's own
 coordinates nor a new block lower it to first order.  The row is searched by
-the same driver's gradient ascent, on `_InsertionGeometry`.  Where the
-certificate fails, the escalation stops after two sizes without gain, or two
-sizes whose worst residual ties the best.
+the same driver's gradient ascent, on `_InsertionGeometry`.  One rule ranks
+the starts of an m and the sizes alike (`_rank`), and one says when two tie
+(`_no_worse`: entropies within _ESCALATION_TOL, worst residuals within a
+relative _RESIDUAL_TIE_RTOL plus feasibility_tol).  Where the certificate
+fails, the escalation stops after two sizes that the best is no worse than.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .graphon import (
 )
 
 M_CAP = 16
-# see _ties: how close two infeasible closest approaches tie; also the
+# see _no_worse: how close two infeasible closest approaches tie; also the
 # residual certificate's relative tolerance (_insertion_certificate)
 _RESIDUAL_TIE_RTOL = 1e-3
 _VALUE_FLOOR = 1e-9  # block values stay this far inside (0,1)
@@ -656,6 +658,13 @@ def _record(geo, point, objective, gaps, opts) -> dict:
             "residuals": res, "feasible": feasible}
 
 
+def _rank(feasible, objective, residuals):
+    """Sort key of a solution, the better one larger: feasible before
+    infeasible, then the larger objective; among infeasible solutions, the
+    smaller worst residual."""
+    return (True, objective) if feasible else (False, -float(np.max(residuals, initial=0.0)))
+
+
 def _multistart(geo, starts, raw, opts):
     """Solve every start as one batch and pick the best solution.
 
@@ -664,7 +673,7 @@ def _multistart(geo, starts, raw, opts):
     multipliers and penalty and leaves the batch once feasible or hopeless;
     geo.finish then turns the rows into solutions.  Returns (best, pool): pool
     holds the feasible raw records, then one record per start; best is the
-    first feasible record of largest objective, else the smallest residual.
+    first record of largest `_rank`.
 
     A start is hopeless from round 5 on, when its worst gap is still above
     1e4 feasibility_tol and has not fallen by 30% over the last three rounds.
@@ -697,10 +706,7 @@ def _multistart(geo, starts, raw, opts):
         lam[running] += rho[running, None] * g[running]
         rho[running] *= _PENALTY_GROWTH
     pool += [_record(geo, *sol, opts) for sol in geo.finish(theta, g, obj)]
-    feasible = [r for r in pool if r["feasible"]]
-    if feasible:
-        return max(feasible, key=lambda r: r["objective"]), pool
-    return min(pool, key=lambda r: float(r["residuals"].max(initial=0.0))), pool
+    return max(pool, key=lambda r: _rank(r["feasible"], r["objective"], r["residuals"])), pool
 
 
 def _random_starts(starts, m, opts, rng) -> None:
@@ -900,7 +906,7 @@ def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float | No
     -g . grad t: the gain is the same with no entropy and lam = g, and q is
     certified when _residual_stationary holds and the gain is at most
     _RESIDUAL_TIE_RTOL |g|^2, so that no new block of mass up to 1 lowers the
-    residual by as much as _ties would count.  Where _residual_stationary
+    residual by as much as `_no_worse` would count.  Where _residual_stationary
     refuses, the ascent is skipped and the gain is None.
 
     The gain of a new block of mass 0 and row r is maximized over r in [0,1]^k
@@ -933,12 +939,17 @@ def _insertion_gain(q: StepGraphon, evals, lam, entropy=True) -> float:
     return float(gains.max())
 
 
-def _ties(a: float, b: float, opts) -> bool:
-    """Whether worst residual a ties b.  On an infeasible target the starts
-    stop as hopeless, not converged (at (0.3, 0.2) and m = 2, all 8 starts
-    stop at round 5, the first that judges them), so worst residuals within a
-    relative _RESIDUAL_TIE_RTOL of each other say nothing about m."""
-    return a <= b * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
+def _no_worse(a: OptimizerResult, b: OptimizerResult, opts) -> bool:
+    """Whether a is no worse than b by `_rank`, up to what says nothing about
+    m: entropies within _ESCALATION_TOL, worst residuals within a relative
+    _RESIDUAL_TIE_RTOL plus feasibility_tol.  On an infeasible target the
+    starts stop as hopeless, not converged (at (0.3, 0.2) and m = 2, all 8
+    starts stop at round 5, the first that judges them), hence the tie."""
+    if a.feasible != b.feasible:
+        return a.feasible
+    if a.feasible:
+        return a.entropy >= b.entropy - _ESCALATION_TOL
+    return max(a.residuals) <= max(b.residuals) * (1.0 + _RESIDUAL_TIE_RTOL) + opts.feasibility_tol
 
 
 def constrained_entropy(
@@ -947,55 +958,40 @@ def constrained_entropy(
     extra_seeds: tuple[StepGraphon, ...] = (),
 ) -> OptimizerResult:
     """m-escalation wrapper: runs maximize_entropy for m = 1, 2, ... up to
-    opts.m_max and reports the smallest m whose entropy reaches the best
-    value within _ESCALATION_TOL (minimal podality at the optimum); with no
-    feasible m, the smallest m whose worst residual ties the smallest one.
+    opts.m_max and reports the smallest m that is `_no_worse` than the best
+    by `_rank` (minimal podality at the optimum; with no feasible m, the
+    smallest m whose worst residual ties the smallest one).
 
-    Each feasible m that sets a new best entropy gets the block-insertion
-    certificate (_insertion_certificate), its gain recorded as the result's
-    insertion_gain; while no m is feasible, each m that sets a new smallest
-    worst residual gets the certificate on its residual.  The escalation
-    stops at an m that passes.  Otherwise it stops after two consecutive
-    sizes that gain less than _ESCALATION_TOL or, while no size is feasible,
-    after two consecutive sizes whose worst residual the smallest one so far
-    ties.  The result's escalation_stop says which rule stopped it, or
-    "m_max"."""
+    Each m that beats the best so far by `_rank` gets the block-insertion
+    certificate (_insertion_certificate), on its residual if it is
+    infeasible, and a feasible one records its gain as insertion_gain.  The
+    escalation stops at an m that passes, or else after two consecutive
+    sizes that the best so far is `_no_worse` than: escalation_stop reads
+    "certified", "no_gain" (the best feasible), "ties" (the best infeasible)
+    or "m_max"."""
     opts = opts or OptimizerOptions()
     evals = [DensityEvaluator(p) for p in constraints.patterns]
     results: list[OptimizerResult] = []
-    prev_feasible: OptimizerResult | None = None
-    small_gains = stale = 0
+    best: OptimizerResult | None = None
+    stale = 0
     stop = "m_max"
     for m in range(1, opts.m_max + 1):
-        seeds = (prev_feasible.graphon,) if prev_feasible is not None else ()
-        seeds = seeds + tuple(extra_seeds)
-        res = maximize_entropy(constraints, m, opts, extra_seeds=seeds)
+        seeds = (best.graphon,) if best is not None and best.feasible else ()
+        res = maximize_entropy(constraints, m, opts, extra_seeds=seeds + tuple(extra_seeds))
+        stale = stale + 1 if best is not None and _no_worse(best, res, opts) else 0
         certified = False
-        if res.feasible:
-            if prev_feasible is not None:
-                gain = res.entropy - prev_feasible.entropy
-                small_gains = small_gains + 1 if gain < _ESCALATION_TOL else 0
-            if prev_feasible is None or res.entropy > prev_feasible.entropy:
-                insertion, certified = _insertion_certificate(res.graphon, evals)
-                res = prev_feasible = replace(res, insertion_gain=insertion)
-        elif prev_feasible is None:
-            best = min((max(r.residuals) for r in results), default=math.inf)
-            stale = stale + 1 if _ties(best, max(res.residuals), opts) else 0
-            if max(res.residuals) < best:
-                q = res.graphon
-                gaps = [ev.value(q.masses, q.values) for ev in evals] - constraints.targets
-                certified = _insertion_certificate(q, evals, gaps)[1]
+        if best is None or (_rank(res.feasible, res.entropy, res.residuals)
+                            > _rank(best.feasible, best.entropy, best.residuals)):
+            q = res.graphon
+            gaps = None if res.feasible else (
+                [ev.value(q.masses, q.values) for ev in evals] - constraints.targets)
+            insertion, certified = _insertion_certificate(q, evals, gaps)
+            best = res = replace(res, insertion_gain=insertion) if res.feasible else res
         results.append(res)
-        if certified or small_gains >= 2 or stale >= 2:
-            stop = "certified" if certified else "no_gain" if small_gains >= 2 else "ties"
+        if certified or stale >= 2:
+            stop = "certified" if certified else "no_gain" if best.feasible else "ties"
             break
-    feas = [r for r in results if r.feasible]
-    if feas:
-        s_star = max(r.entropy for r in feas)
-        pick = next(r for r in feas if r.entropy >= s_star - _ESCALATION_TOL)
-    else:
-        worst = [max(r.residuals) for r in results]
-        pick = next(r for r, w in zip(results, worst) if _ties(w, min(worst), opts))
+    pick = next(r for r in results if _no_worse(r, best, opts))
     return replace(pick, escalation_stop=stop)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphon import decimal_fraction
+from .graphon import _count_window
 from .gradients import _dot
 from .optimizer import _al, _GradientSteps, _multistart
 
@@ -578,13 +578,8 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
         counts = np.zeros(total, dtype=np.int64)
         for combo in itertools.combinations(range(n), k):
             counts += _matches(perms[:, combo], pattern)
-        b = math.comb(n, k)
-        lo_f = decimal_fraction(alpha) - decimal_fraction(delta)
-        hi_f = decimal_fraction(alpha) + decimal_fraction(delta)
-        acceptable = np.array(
-            [c for c in range(b + 1) if lo_f < Fraction(c, b) < hi_f], dtype=np.int64
-        )
-        ok &= np.isin(counts, acceptable)
+        lo, hi = _count_window(alpha, delta, math.comb(n, k))
+        ok &= (counts >= lo) & (counts <= hi)
     count = int(ok.sum())
     log_norm = -math.inf if count == 0 else (math.log(count) - math.lgamma(n + 1)) / n
     return PermCountReport(

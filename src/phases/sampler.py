@@ -31,9 +31,9 @@ from .graphon import (
     FiniteGraph,
     StepGraphon,
     SubgraphPattern,
+    _count_window,
     _falling,
     _pattern_kind,
-    decimal_fraction,
     finite_density,
 )
 from .optimizer import reference_construction
@@ -128,15 +128,6 @@ def _count_denominator(pattern: SubgraphPattern, n: int) -> int:
     if pattern == SubgraphPattern.triangle():
         return math.comb(n, 3)
     return _falling(n, pattern.k)
-
-
-def _count_window(target: float, delta: float, denom: int) -> tuple[int, int]:
-    """Inclusive integer count bounds equivalent to the open density window
-    (target - delta, target + delta); targets and delta are read at their
-    decimal value (0.1 means 1/10), so a count exactly on an edge is out."""
-    lo = (decimal_fraction(target) - decimal_fraction(delta)) * denom
-    hi = (decimal_fraction(target) + decimal_fraction(delta)) * denom
-    return math.floor(lo) + 1, math.ceil(hi) - 1
 
 
 class _DensityTracker:

@@ -69,6 +69,27 @@ def test_optimize_feasible_and_infeasible(tmp_path, capsys):
     assert doc["insertion_gain"] is None and doc["escalation_stop"] == "certified"
 
 
+def test_m_zero_is_an_ansatz_size_not_no_size(tmp_path, capsys):
+    # --m 0 is a podality outside 1..M_CAP on the entropy path and outside
+    # 1..12 on the signed path, not an absent --m
+    assert run(tmp_path, "optimize", "--eps", "0.4", "--tau", "0.05", "--m", "0",
+               "--out", str(tmp_path / "e.json")) == 1
+    assert "1..16" in capsys.readouterr().err
+    assert run(tmp_path, "optimize", "--signed-objective", "t1", "--m", "0",
+               "--out", str(tmp_path / "s.json")) == 1
+    assert "1..12" in capsys.readouterr().err
+
+
+def test_signed_objective_needs_no_entropy_constraints(tmp_path):
+    # the 2-block staircase: t1 = (m^2 - 1) / (6 m^2) = 1/8 with t2 = 0
+    out = tmp_path / "signed.json"
+    assert run(tmp_path, "optimize", "--signed-objective", "t1", "--m", "2",
+               "--starts", "1", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["m"] == 2 and doc["feasible"]
+    assert doc["value"] == pytest.approx(0.125, abs=1e-12)
+
+
 def test_manifest_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(tmp_path, "optimize", "--eps", "0.45", "--tau", "0.08",

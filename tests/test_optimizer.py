@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,38 @@ def test_escalation_stops_without_gain_where_the_certificate_refuses(monkeypatch
     res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), PANEL)
     assert [m for m, _ in calls] == [1, 2, 3, 4]
     assert res.m == 2 and res.escalation_stop == "no_gain"
+
+
+def test_no_gain_stops_where_the_certificate_refuses_a_real_gain(monkeypatch):
+    # at (0.15, 1.1 eps^3) every m = 2 start ends on the symmetric bipodal,
+    # whose insertion gain of 4.54 refuses the certificate; m = 3 and 4 find
+    # nothing better, so the two-sizes rule, not m_max, ends the escalation
+    # (nothing is patched but a recorder of the solves)
+    calls = _solved_ms(monkeypatch)
+    res = constrained_entropy(ConstraintVector.edge_triangle(0.15, 0.0037125), PANEL)
+    assert [m for m, _ in calls] == [1, 2, 3, 4]
+    assert [r.feasible for _, r in calls] == [False, True, True, True]
+    assert res.escalation_stop == "no_gain" and res.podality == 2 and res.m == 2
+    assert res.insertion_gain > 1.0
+
+
+def test_an_infeasible_size_after_a_feasible_best_counts_toward_the_stop(monkeypatch):
+    # one rule for every size: a size that the feasible best is no worse
+    # than counts toward the two-sizes stop, an infeasible one included
+    inner = optimizer._multipliers
+    monkeypatch.setattr(optimizer, "_multipliers", lambda q, ev: (inner(q, ev)[0], 1e-3))
+    calls = _solved_ms(monkeypatch)
+    solve = optimizer.maximize_entropy
+
+    def infeasible_m3(cons, m, *args, **kwargs):
+        res = solve(cons, m, *args, **kwargs)
+        return replace(res, feasible=False, residuals=(1e-2, 1e-2)) if m == 3 else res
+
+    monkeypatch.setattr(optimizer, "maximize_entropy", infeasible_m3)
+    res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), PANEL)
+    assert [m for m, _ in calls] == [1, 2, 3, 4]
+    assert calls[1][1].feasible  # m = 2 sets a feasible best
+    assert res.m == 2 and res.feasible and res.escalation_stop == "no_gain"
 
 
 def _lagrangian(q, pats, lam):

@@ -28,3 +28,33 @@ def test_no_unused_imports():
     assert len(SOURCES) >= 10  # the glob found the package modules
     found = {p.name: unused_imports(ast.parse(p.read_text())) for p in SOURCES}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports, or spells as a whole string (as
+    in __all__)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_every_definition_is_used():
+    """A module-level function or class of the package that no module of
+    the package or of the tests names is dead code."""
+    package = pathlib.Path(phases.__file__).parent
+    trees = {p: ast.parse(p.read_text()) for p in [*package.glob("*.py"),
+                                                   *pathlib.Path(__file__).parent.glob("*.py")]}
+    named = set().union(*map(names_read, trees.values()))
+    unused = [f"{p.name}:{n.name}" for p, tree in trees.items() if p.parent == package
+              for n in tree.body
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and n.name not in named]
+    assert unused == []
