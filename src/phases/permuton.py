@@ -5,7 +5,8 @@ Permutons are represented as k x k grid densities with uniform marginals
 (every row and column of the cell matrix sums to k).  Pattern evaluation on
 grids resolves within-cell ties by independent uniform sub-positions, which
 is what the measure-theoretic definition forces; the exact evaluator weights
-all orderings consistent with the cell ranks by their exact probabilities.
+all orderings consistent with the cell ranks by their exact probabilities, in
+O(r^3) per grid of resolution r: a few r x r matrix products per completion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .gradients import _dot
 from .optimizer import _al, _GradientSteps, _multistart
 
 MARGINAL_TOL = 1e-9
+# Exact densities are r x r matrix products while a chain's tie weight is
+# t t less 1/12 on a triple tie: for patterns of length <= 3.  They cost
+# O(r^3) per grid; the resolution cap bounds the solver, whose r^2 unknowns
+# make a two-start solve of 123 take about 3 s at r = 40 on a 2-CPU host.
 EXACT_PATTERN_CAP = 3
 EXACT_RESOLUTION_CAP = 40
 PLAIN_PATTERN_CAP = 6
@@ -215,38 +219,62 @@ def perm_pattern_density(pi: Permutation, pattern: StarPattern) -> Fraction:
     return Fraction(count, math.comb(pi.n, k))
 
 
-@lru_cache(maxsize=64)
-def _chain_tensor(k: int, res: int) -> np.ndarray:
-    """Weight tensor for weakly increasing cell chains of k points on one
-    axis: strict steps weigh 1, a group of s tied points 1/s!."""
-    idx = np.meshgrid(*[np.arange(res)] * k, indexing="ij", sparse=True)
-    t, run = np.ones((res,) * k), 1
-    for prev, cur in zip(idx, idx[1:]):
-        run = np.where(cur == prev, run + 1, 1)  # size of the tie group so far
-        t = t * (cur >= prev) / run
-    t.flags.writeable = False  # cached: every caller gets this array
-    return t
+def _single(w, u, ut):
+    yield np.ones_like(w)
 
 
-def _contract(q: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
-    """Cell axis `axis` of q (B or 1, r, ..., r) summed against w (B, r, r):
-    index y there becomes a, weighted by w[b, a, y]."""
-    q = np.moveaxis(q, axis + 1, -1)
-    wt = np.swapaxes(w, 1, 2).reshape(len(w), *[1] * (q.ndim - 3), *w.shape[1:])
-    return np.moveaxis(q @ wt, -1, axis + 1)
+def _pair(w, u, ut):  # 12: the points below and left of a cell, then above and right
+    yield ut @ w @ u
+    yield u @ w @ ut
+
+
+def _increasing(w, u, ut):  # 123, the cell as third, second and first point
+    f1 = ut @ w @ u
+    yield ut @ (f1 * w) @ u
+    above = u @ w @ ut
+    yield f1 * above
+    yield u @ (w * above) @ ut
+
+
+def _peak(w, u, ut):  # 132, the cell as first, second and third point
+    a, b = w @ ut, u @ w
+    yield u @ (a * b) @ ut
+    f1 = ut @ w @ u
+    yield (f1 * b) @ u
+    yield ut @ (f1 * a)
+
+
+def _triple_ties(w, u, ut):  # the -1/12 triple-tie term, the same for every 3-completion
+    p, q, pr, qr = ut @ w, u @ w, w @ u, w @ ut
+    yield w * w / 144 - (p * q + pr * qr) / 12
+    yield w * w / 144 - (u @ (q * w) + (qr * w) @ ut) / 12
+    yield w * w / 144 - (ut @ (p * w) + (pr * w) @ u) / 12
+
+
+# Each plain pattern of length <= 3 as a kernel and the axes of w to reverse:
+# reversing x (axis 1) reads a pattern backwards, reversing y complements it.
+_COMPLETIONS = {
+    (1,): (_single, ()), (1, 2): (_pair, ()), (2, 1): (_pair, (2,)),
+    (1, 2, 3): (_increasing, ()), (3, 2, 1): (_increasing, (2,)), (1, 3, 2): (_peak, ()),
+    (3, 1, 2): (_peak, (2,)), (2, 3, 1): (_peak, (1,)), (2, 1, 3): (_peak, (1, 2)),
+}
 
 
 class _PatternDensity:
     """Exact density of a star pattern on a batch of grid permutons g
-    (B, r, r), and its gradient in g.
+    (B, r, r), and its gradient in g, by r x r matrix products.
 
-    With w = g / r^2 and T the chain tensor, a completion tau of length k has
-    density k! sum T[a] S[y] prod_t w[a_t, y_t]: S is T with its axes in the
-    order tau, as the points' x-cells a and y-cells must both be weakly
-    increasing.  S summed against w along every axis but t, then against T,
-    is the derivative in factor t; summed once more against w it is the
-    density.  Every product runs per grid, so a grid's result does not depend
-    on its batch."""
+    With w = g / r^2, a completion tau of length k has density
+    k! sum T[a] T[x] prod_t w[a_t, x_(tau_t)]: the points' x-cells a and
+    their y-cells x in the order tau are weakly increasing, and T gives s
+    points in one cell weight 1/s!.  For k <= 3, T[a] = t(a1, a2) t(a2, a3)
+    - [a1 = a2 = a3] / 12, with t(i, j) = 1 if i < j, 1/2 if i = j, else 0.
+    So with U = t, the sum over chains with point j in each cell (slot j of
+    the gradient) is a few products with U and U^T: O(r^3) per grid and
+    completion.  A kernel above yields the slots on w (B, r, r); the first,
+    summed against w, is the value, and the rest run only for the gradient.
+    Every product runs per grid, so a grid's result does not depend on its
+    batch."""
 
     def __init__(self, pattern: StarPattern, res: int):
         if pattern.k > EXACT_PATTERN_CAP:
@@ -254,28 +282,26 @@ class _PatternDensity:
         if res > EXACT_RESOLUTION_CAP:
             raise ValueError(f"exact pattern densities support resolution <= {EXACT_RESOLUTION_CAP}")
         self.k, self.res = pattern.k, res
-        chain = _chain_tensor(pattern.k, res)
-        self.chains = [np.moveaxis(chain, t, 0).reshape(res, -1) for t in range(self.k)]
-        self.orders = [np.transpose(chain, [t - 1 for t in tau])[None]
-                       for tau in pattern.completions()]
+        u = np.triu(np.ones((res, res)), 1) + 0.5 * np.eye(res)  # U[i, j] = t(i, j)
+        self.steps = u, np.ascontiguousarray(u.T)
+        self.parts = [(*_COMPLETIONS[tau], 1) for tau in pattern.completions()]
+        if self.k == 3:
+            self.parts.append((_triple_ties, (), len(self.parts)))
 
     def __call__(self, g: np.ndarray, grad: bool = False):
         """(densities (B,), gradients (B, r, r) or None without grad)."""
-        n, scale = len(g), self.res * self.res
+        scale = self.res * self.res
         w = g / scale
-        val, dg = np.zeros(n), np.zeros_like(g)
-        for order in self.orders:
-            for t in range(self.k if grad else 1):
-                q = order
-                for axis in range(self.k):
-                    q = q if axis == t else _contract(q, w, axis)
-                q = np.moveaxis(np.broadcast_to(q, (n, *order.shape[1:])), t + 1, 1)
-                part = self.chains[t] @ np.swapaxes(q.reshape(n, self.res, -1), 1, 2)
-                if t == 0:
-                    val += (w * part).sum(axis=(1, 2))
-                dg += part
+        val, dw = np.zeros(len(g)), np.zeros_like(w)
+        for kernel, axes, times in self.parts:
+            wf = np.ascontiguousarray(np.flip(w, axes))  # BLAS takes no negative strides
+            slots = kernel(wf, *self.steps)
+            first = next(slots)
+            val += times * (wf * first).sum(axis=(1, 2))
+            if grad:
+                dw += times * np.flip(sum(slots, first), axes)
         fact = math.factorial(self.k)
-        return fact * val, (fact / scale * dg if grad else None)
+        return fact * val, (fact / scale * dw if grad else None)
 
 
 def _matches(rows: np.ndarray, pattern: StarPattern) -> np.ndarray:
@@ -309,8 +335,9 @@ def permuton_pattern_density(
     induce the pattern (summed over completions for star patterns).
 
     method="exact" integrates cell by cell with exact within-cell tie
-    weights (pattern length <= 3, resolution <= 40); method="montecarlo"
-    samples k points per draw and reads off the induced pattern.
+    weights, as O(r^3) matrix products on the r x r grid (pattern length
+    <= 3, resolution <= 40); method="montecarlo" samples k points per draw
+    and reads off the induced pattern.
     """
     k = pattern.k
     if method == "exact":

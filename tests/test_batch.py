@@ -31,9 +31,9 @@ from phases.optimizer import (
     _start_list,
 )
 from phases.permuton import (
+    EXACT_RESOLUTION_CAP,
     PermutonOptimizerOptions,
     StarPattern,
-    _chain_tensor,
     _PatternDensity,
     _PermutonGeometry,
     project_uniform_marginals,
@@ -171,7 +171,8 @@ def test_start_solution_does_not_depend_on_its_batch(m, eps, ratio, seed, row):
     np.testing.assert_allclose(in_batch["p"], alone["p"], rtol=0, atol=1e-10)
 
 
-STAR_PATTERNS = ["1", "12", "21", "123", "132", "231", "321", "*2*", "1**", "*1"]
+STAR_PATTERNS = ["1", "12", "21", "123", "132", "213", "231", "312", "321", "*2*", "1**", "*1",
+                 "2*1"]
 
 
 def random_grids(seed: int, batch: int, res: int, spread: float) -> np.ndarray:
@@ -198,18 +199,48 @@ def test_batched_projection_matches_rows(batch, res, seed, spread, max_iter, set
         np.testing.assert_array_equal(out[i], project_uniform_marginals(g[i], max_iter=max_iter))
 
 
+def chain_tensor(k: int, res: int) -> np.ndarray:
+    """Weight tensor (res,) * k of weakly increasing cell chains of k points
+    on one axis: strict steps weigh 1, a group of s tied points 1/s!."""
+    idx = np.meshgrid(*[np.arange(res)] * k, indexing="ij", sparse=True)
+    t, run = np.ones((res,) * k), 1
+    for prev, cur in zip(idx, idx[1:]):
+        run = np.where(cur == prev, run + 1, 1)  # size of the tie group so far
+        t = t * (cur >= prev) / run
+    return t
+
+
 def einsum_density(w: np.ndarray, pattern: StarPattern) -> float:
     """The defining sum of an exact pattern density on one grid w = g / r^2,
     contracted by numpy.einsum: k! sum T[a] T[x] prod_t w[a_t, x_(tau_t)]
     over the completions tau, with T the chain tensor."""
     k = pattern.k
     u, v = "abc"[:k], "xyz"[:k]
-    chain = _chain_tensor(k, len(w))
+    chain = chain_tensor(k, len(w))
     total = 0.0
     for tau in pattern.completions():
         subs = ",".join([u[t] + v[tau[t] - 1] for t in range(k)] + [u, v]) + "->"
         total += math.factorial(k) * np.einsum(subs, *[w] * k, chain, chain, optimize=True)
     return total
+
+
+def check_completion_density(density, pattern, g, seed):
+    """Each row of a batched call is bit-equal to a one-grid call, matches
+    einsum_density to 1e-12 and has the slope of a central difference."""
+    res = g.shape[-1]
+    vals, grads = density(g, grad=True)
+    assert vals.shape == (len(g),) and grads.shape == g.shape
+    np.testing.assert_array_equal(density(g)[0], vals)
+    direction = np.random.default_rng(seed + 1).normal(size=g.shape)
+    h = 1e-4
+    for i in range(len(g)):
+        val, grad = density(g[i : i + 1], grad=True)
+        np.testing.assert_array_equal(val[0], vals[i])
+        np.testing.assert_array_equal(grad[0], grads[i])
+        assert vals[i] == pytest.approx(einsum_density(g[i] / res**2, pattern), rel=1e-12)
+        up, down = (density((g[i] + s * h * direction[i])[None])[0][0] for s in (1.0, -1.0))
+        slope = np.sum(grad[0] * direction[i])
+        assert (up - down) / (2 * h) == pytest.approx(slope, rel=1e-6, abs=1e-9)
 
 
 @PROPERTY
@@ -221,21 +252,17 @@ def einsum_density(w: np.ndarray, pattern: StarPattern) -> float:
 )
 def test_batched_completion_density_matches_rows_and_differences(name, batch, res, seed):
     pattern = StarPattern.parse(name)
-    density = _PatternDensity(pattern, res)
-    g = random_grids(seed, batch, res, 1.0)
-    vals, grads = density(g, grad=True)
-    assert vals.shape == (batch,) and grads.shape == g.shape
-    np.testing.assert_array_equal(density(g)[0], vals)
-    direction = np.random.default_rng(seed + 1).normal(size=g.shape)
-    h = 1e-4
-    for i in range(batch):
-        val, grad = density(g[i : i + 1], grad=True)
-        np.testing.assert_array_equal(val[0], vals[i])
-        np.testing.assert_array_equal(grad[0], grads[i])
-        assert vals[i] == pytest.approx(einsum_density(g[i] / res**2, pattern), rel=1e-12)
-        up, down = (density((g[i] + s * h * direction[i])[None])[0][0] for s in (1.0, -1.0))
-        slope = np.sum(grad[0] * direction[i])
-        assert (up - down) / (2 * h) == pytest.approx(slope, rel=1e-6, abs=1e-9)
+    check_completion_density(_PatternDensity(pattern, res), pattern,
+                             random_grids(seed, batch, res, 1.0), seed)
+
+
+@pytest.mark.parametrize("res", [20, EXACT_RESOLUTION_CAP])
+@pytest.mark.parametrize("name", STAR_PATTERNS)
+def test_completion_density_at_solver_resolutions(name, res):
+    # 20 is perfbench's perm_res, EXACT_RESOLUTION_CAP the largest accepted
+    pattern = StarPattern.parse(name)
+    check_completion_density(_PatternDensity(pattern, res), pattern,
+                             random_grids(res, 16, res, 1.0), res)
 
 
 @SOLVES

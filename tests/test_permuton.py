@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phases.permuton import (
+    MARGINAL_TOL,
     GridPermuton,
     Permutation,
     PermutonOptimizerOptions,
@@ -23,6 +24,7 @@ from phases.permuton import (
     permuton_pattern_density,
     project_uniform_marginals,
 )
+from test_batch import einsum_density
 
 P12 = StarPattern.parse("12")
 P123 = StarPattern.parse("123")
@@ -234,6 +236,20 @@ class TestPermutonOptimizer:
         )
         assert r20.feasible and r30.feasible
         assert abs(r20.entropy - r30.entropy) < 1e-6
+
+    def test_bench_targets_meet_the_einsum_reference(self):
+        # perfbench's generic workload solves these at resolution 20 with 2
+        # starts and gates the answers with permuton_pattern_density, which
+        # runs the solver's own kernel: measure the residuals by einsum too
+        opts = PermutonOptimizerOptions(n_starts=2)
+        for name, target in (("12", 0.4), ("123", 0.25)):
+            pattern = StarPattern.parse(name)
+            res = maximize_permuton_entropy([(pattern, target)], 20, opts)
+            g = res.permuton.g
+            assert res.feasible and not res.degenerate
+            for sums in (g.sum(axis=0), g.sum(axis=1)):
+                np.testing.assert_allclose(sums, 20.0, rtol=0, atol=MARGINAL_TOL * 20)
+            assert abs(einsum_density(g / 400, pattern) - target) < opts.feasibility_tol
 
     def test_resolution_cap(self):
         with pytest.raises(ValueError, match="resolution"):
