@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,6 +45,21 @@ def _count_window(target: float, delta: float, denom: int) -> tuple[int, int]:
     lo = (decimal_fraction(target) - decimal_fraction(delta)) * denom
     hi = (decimal_fraction(target) + decimal_fraction(delta)) * denom
     return math.floor(lo) + 1, math.ceil(hi) - 1
+
+
+class _Record:
+    """Mixin for the result dataclasses: to_dict gives the fields by name, a
+    value with its own to_dict (StepGraphon, GridPermuton) through it, and
+    tuples as lists."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(v):
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v.to_dict() if hasattr(v, "to_dict") else v
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphon import StepGraphon, SubgraphPattern, subgraph_density
+from .graphon import StepGraphon, SubgraphPattern, _Record, subgraph_density
 
 BLOCK_CAP = 20
 _PERM_CAP = 40320  # 8!
@@ -154,7 +154,7 @@ def connected_patterns(max_order: int) -> tuple[SubgraphPattern, ...]:
 
 
 @dataclass(frozen=True)
-class DbarResult:
+class DbarResult(_Record):
     """Truncated dbar distance with its truncation metadata."""
 
     value: float
@@ -164,14 +164,6 @@ class DbarResult:
 
     def __float__(self) -> float:
         return self.value
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "max_order": self.max_order,
-            "graph_count": self.graph_count,
-            "tail_bound": self.tail_bound,
-        }
 
 
 def dbar_distance(q1: StepGraphon, q2: StepGraphon, max_order: int = 5) -> DbarResult:

@@ -49,6 +49,7 @@ from .graphon import (
     ConstraintVector,
     StepGraphon,
     SubgraphPattern,
+    _Record,
     canonicalize,
     graphon_entropy,
 )
@@ -102,9 +103,13 @@ class OptimizerOptions:
     max_inner: int = 300
     m_max: int = 6
 
+    def __post_init__(self):
+        if not 1 <= self.m_max <= M_CAP:
+            raise ValueError(f"m_max must lie in 1..{M_CAP}, got {self.m_max}")
+
 
 @dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(_Record):
     """Outcome of a constrained entropy maximization."""
 
     graphon: StepGraphon
@@ -124,25 +129,13 @@ class OptimizerResult:
     escalation_stop: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "graphon": self.graphon.to_dict(),
-            "entropy": self.entropy,
-            "residuals": list(self.residuals),
-            "podality": self.podality,
-            "flags": {
-                "symmetric_bipodal": self.symmetric_bipodal,
-                "constant": self.constant,
-            },
-            "multistart_spread": self.multistart_spread,
-            "feasible": self.feasible,
-            "m": self.m,
-            "insertion_gain": self.insertion_gain,
-            "escalation_stop": self.escalation_stop,
-        }
+        d = super().to_dict()
+        d["flags"] = {k: d.pop(k) for k in ("symmetric_bipodal", "constant")}
+        return d
 
 
 @dataclass(frozen=True)
-class SignedMaxResult:
+class SignedMaxResult(_Record):
     """Outcome of maximizing one signed density subject to another being zero."""
 
     value: float
@@ -151,45 +144,45 @@ class SignedMaxResult:
     feasible: bool
     m: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "graphon": self.graphon.to_dict(),
-            "residual": self.residual,
-            "feasible": self.feasible,
-            "m": self.m,
-        }
-
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
 def reference_construction(eps: float, tau: float) -> StepGraphon:
-    """Closed-form bipodal graphon with edge density eps and triangle density tau.
-
-    For tau <= eps^3: equal halves with diagonal eps - x and off-diagonal
-    eps + x, x = (eps^3 - tau)^(1/3).  For tau > eps^3: the symmetric bipodal
-    branch, diagonal a and off-diagonal d = 2 eps - a with a the unique root
-    of the nondecreasing cubic a^3 + 3 a d^2 = 4 tau.  Raises ValueError for
-    (eps, tau) outside the union of the two branch ranges.
-    """
+    """Closed-form bipodal graphon with edge density eps and triangle density
+    tau (see _bipodal).  Raises ValueError for (eps, tau) outside the union of
+    the two branch ranges."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"edge density must lie in (0, 0.5], got {eps}")
     if tau < 0.0 or tau > eps**1.5 + 1e-12:
         raise ValueError(f"triangle density {tau} outside [0, eps^(3/2)]")
-    e3 = eps**3
-    if tau <= e3:
-        x = np.cbrt(e3 - tau)
-        return StepGraphon(
-            [0.5, 0.5], [[eps - x, eps + x], [eps + x, eps - x]]
-        )
-    a = _symmetric_branch_root(eps, tau, slack=1e-12)
-    if a is None:
+    q = _bipodal(eps, tau, slack=1e-12)
+    if q is None:
         top = min(1.0, 2.0 * eps)
         top_tau = (top**3 + 3.0 * top * (2.0 * eps - top) ** 2) / 4
         raise ValueError(f"triangle density {tau} above the symmetric bipodal branch "
                          f"(max {top_tau:.6g} at edge density {eps})")
+    return q
+
+
+def _bipodal(eps: float, tau: float, slack: float = 0.0) -> StepGraphon | None:
+    """Equal-mass bipodal graphon with edge density eps and triangle density tau.
+
+    For tau <= eps^3: equal halves with diagonal eps - x and off-diagonal
+    eps + x, x = (eps^3 - tau)^(1/3).  For tau > eps^3: the symmetric bipodal
+    branch, diagonal a and off-diagonal d = 2 eps - a with a the unique root
+    of the nondecreasing cubic a^3 + 3 a d^2 = 4 tau.  None where the halves'
+    values leave [0,1] or the cubic stays more than slack below 4 tau."""
+    e3 = eps**3
+    if tau <= e3:
+        x = float(np.cbrt(e3 - tau))
+        if eps - x < 0.0 or eps + x > 1.0:
+            return None
+        return StepGraphon([0.5, 0.5], [[eps - x, eps + x], [eps + x, eps - x]])
+    a = _symmetric_branch_root(eps, tau, slack)
+    if a is None:
+        return None
     d = 2.0 * eps - a
     return StepGraphon([0.5, 0.5], [[a, d], [d, a]])
 
@@ -251,26 +244,6 @@ def _split_to_m(q: StepGraphon, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(c), p
 
 
-def _bipodal_formula_candidates(eps: float, tau: float) -> list[StepGraphon]:
-    """Equal-mass bipodal closed forms for an (edge, triangle) target, used
-    as optimizer seeds wherever the block values land in [0,1] (a wider range
-    than reference_construction's documented domain)."""
-    out: list[StepGraphon] = []
-    e3 = eps**3
-    if 0.0 <= tau <= e3:
-        x = float(np.cbrt(e3 - tau))
-        if 0.0 <= eps - x and eps + x <= 1.0:
-            out.append(
-                StepGraphon([0.5, 0.5], [[eps - x, eps + x], [eps + x, eps - x]])
-            )
-    a = _symmetric_branch_root(eps, tau) if tau > e3 else None
-    if a is not None:
-        d = 2.0 * eps - a
-        if 0.0 <= d <= 1.0 and 0.0 <= a <= 1.0:
-            out.append(StepGraphon([0.5, 0.5], [[a, d], [d, a]]))
-    return out
-
-
 def _closed_form_candidates(constraints: ConstraintVector) -> list[StepGraphon]:
     pats = constraints.patterns
     cands: list[StepGraphon] = []
@@ -280,7 +253,9 @@ def _closed_form_candidates(constraints: ConstraintVector) -> list[StepGraphon]:
     if set(pats) == {edge, tri}:
         eps, tau = by_pat[edge], by_pat[tri]
         cands.append(StepGraphon.constant(eps))
-        cands.extend(_bipodal_formula_candidates(eps, tau))
+        q = _bipodal(eps, tau)
+        if q is not None:
+            cands.append(q)
         cands.append(StepGraphon.bipodal(0.5, 0.0, 0.0, min(1.0, 2.0 * eps)))
         if 0.0 < eps < 1.0:
             lam = math.sqrt(eps)

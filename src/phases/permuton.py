@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphon import _count_window
+from .graphon import _Record, _count_window
 from .gradients import _dot
 from .optimizer import _al, _GradientSteps, _multistart
 
@@ -415,21 +415,12 @@ class PermutonOptimizerOptions:
 
 
 @dataclass(frozen=True)
-class PermutonOptimizerResult:
+class PermutonOptimizerResult(_Record):
     permuton: GridPermuton
     entropy: float
     residuals: tuple[float, ...]
     feasible: bool
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "permuton": self.permuton.to_dict(),
-            "entropy": self.entropy,
-            "residuals": list(self.residuals),
-            "feasible": self.feasible,
-            "degenerate": self.degenerate,
-        }
 
 
 def _perm_entropy(g: np.ndarray):
@@ -550,7 +541,7 @@ def maximize_permuton_entropy(
 
 
 @dataclass(frozen=True)
-class PermCountReport:
+class PermCountReport(_Record):
     """Exact |Lambda_n| and the normalized log-count (1/n) ln(|Lambda|/n!)."""
 
     n: int
@@ -559,16 +550,6 @@ class PermCountReport:
     log_normalized: float
     constraints: tuple[tuple[str, float], ...]
     delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "total": self.total,
-            "log_normalized": self.log_normalized,
-            "constraints": [[p, t] for p, t in self.constraints],
-            "delta": self.delta,
-        }
 
 
 def _all_perms(n: int) -> np.ndarray:

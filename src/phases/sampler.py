@@ -31,6 +31,7 @@ from .graphon import (
     FiniteGraph,
     StepGraphon,
     SubgraphPattern,
+    _Record,
     _count_window,
     _falling,
     _pattern_kind,
@@ -459,28 +460,17 @@ def estimate_block_structure(g: FiniteGraph, m: int, seed: int = 0) -> BlockEsti
         if best is None or obj < best[0] - 1e-12:
             best = (obj, labels.copy())
     obj, labels = best
-    used = np.unique(labels)
-    masses = []
-    k_eff = len(used)
-    values = np.zeros((k_eff, k_eff))
-    for a, la in enumerate(used):
-        ia = np.nonzero(labels == la)[0]
-        masses.append(len(ia) / n)
-        for b, lb in enumerate(used):
-            ib = np.nonzero(labels == lb)[0]
-            if a == b:
-                na = len(ia)
-                if na < 2:
-                    # one-node cluster has no internal pairs; fall back to the
-                    # node's overall connection frequency
-                    values[a, a] = (
-                        g.adjacency[ia[0]].sum() / (n - 1) if n > 1 else 0.0
-                    )
-                else:
-                    values[a, a] = g.adjacency[np.ix_(ia, ia)].sum() / (na * (na - 1))
-            else:
-                values[a, b] = g.adjacency[np.ix_(ia, ib)].mean()
-    return BlockEstimate(StepGraphon(masses, values), obj, labels)
+    # block sums of the adjacency as one-hot products; every count is an
+    # exact integer, so each division rounds as a block mean does
+    onehot = (labels[:, None] == np.unique(labels)).astype(float)
+    sizes = onehot.sum(axis=0)
+    links = onehot.T @ g.adjacency @ onehot
+    values = links / np.maximum(np.outer(sizes, sizes) - np.diag(sizes), 1.0)
+    # a one-node cluster has no internal pairs; fall back to the node's
+    # overall connection frequency
+    single = np.flatnonzero(sizes == 1)
+    values[single, single] = links[single].sum(axis=1) / max(n - 1, 1)
+    return BlockEstimate(StepGraphon(sizes / n, values), obj, labels)
 
 
 def _kmeanspp(rows: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -504,7 +494,7 @@ def _kmeanspp(rows: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(_Record):
     """Exact count of labeled graphs meeting the windows, plus the joint
     (edge count, triangle count) histogram of all 2^binom(n,2) graphs."""
 
@@ -515,17 +505,6 @@ class EnumerationReport:
     histogram: tuple[tuple[int, int, int], ...]  # (edge_count, triangle_count, count)
     constraints: tuple[tuple[dict, float], ...]
     delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "z": self.z,
-            "total": self.total,
-            "log_normalized": self.log_normalized,
-            "histogram": [list(h) for h in self.histogram],
-            "constraints": [[p, t] for p, t in self.constraints],
-            "delta": self.delta,
-        }
 
 
 def _pattern_mask_classes(pattern: SubgraphPattern, n: int, bit: dict) -> Counter:

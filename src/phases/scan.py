@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphon import ConstraintVector, SubgraphPattern, StepGraphon
+from .graphon import (
+    DEFAULT_VERTEX_CAP,
+    ConstraintVector,
+    PatternTooLargeError,
+    StepGraphon,
+    SubgraphPattern,
+)
 from .optimizer import OptimizerOptions, OptimizerResult, constrained_entropy
 from .svg import heatmap_svg
 
@@ -193,6 +199,11 @@ def phase_scan(
     nx, ny = resolution
     if nx < 1 or ny < 1 or nx > RESOLUTION_CAP or ny > RESOLUTION_CAP:
         raise ValueError(f"resolution must be within 1..{RESOLUTION_CAP} per axis")
+    # checked here, not per cell: _solve_cell reads a ValueError as a target
+    # outside the domain
+    for p in patterns:
+        if p.k > DEFAULT_VERTEX_CAP:
+            raise PatternTooLargeError(f"pattern has {p.k} vertices, cap is {DEFAULT_VERTEX_CAP}")
     opts = opts or OptimizerOptions()
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)

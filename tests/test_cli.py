@@ -80,6 +80,27 @@ def test_m_zero_is_an_ansatz_size_not_no_size(tmp_path, capsys):
     assert "1..12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["optimize", "scan"])
+@pytest.mark.parametrize("m_max", ["0", "17"])
+def test_m_max_outside_the_podality_range_is_a_usage_error(tmp_path, capsys, sub, m_max):
+    args = ["--eps", "0.4", "--tau", "0.05"] if sub == "optimize" else ["--grid", "2x1"]
+    assert run(tmp_path, sub, *args, "--m-max", m_max, "--out", str(tmp_path / "o")) == 1
+    assert "m_max must lie in 1..16" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scan_pattern_above_vertex_cap_is_a_usage_error(tmp_path, capsys):
+    # as through optimize: exit 1 with the cap, not a map of failed cells
+    csv_path = tmp_path / "s.csv"
+    assert run(tmp_path, "scan", "--model", "edge-kstar:6", "--grid", "2x1",
+               "--out", str(csv_path)) == 1
+    assert "pattern has 7 vertices, cap is 6" in capsys.readouterr().err
+    assert not csv_path.exists()
+    assert run(tmp_path, "optimize", "--model", "edge-kstar:6", "--eps", "0.4", "--tau", "0.05",
+               "--out", str(tmp_path / "o.json")) == 1
+    assert "pattern has 7 vertices, cap is 6" in capsys.readouterr().err
+
+
 def test_signed_objective_needs_no_entropy_constraints(tmp_path):
     # the 2-block staircase: t1 = (m^2 - 1) / (6 m^2) = 1/8 with t2 = 0
     out = tmp_path / "signed.json"

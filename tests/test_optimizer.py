@@ -531,6 +531,14 @@ def test_pattern_above_vertex_cap_is_rejected():
         bounded_signed_max(big, SubgraphPattern.signed_square(), 2, FAST)
 
 
+@pytest.mark.parametrize("m_max", [0, -1, optimizer.M_CAP + 1])
+def test_m_max_outside_the_podality_range_is_rejected(m_max):
+    # checked when the options are made, not when the escalation reaches it
+    with pytest.raises(ValueError, match=f"m_max must lie in 1..{optimizer.M_CAP}"):
+        OptimizerOptions(m_max=m_max)
+    OptimizerOptions(m_max=optimizer.M_CAP)
+
+
 # ---------------------------------------------------------------------------
 # the Newton steps of _GraphonGeometry
 

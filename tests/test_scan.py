@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phases.graphon import SubgraphPattern
+from phases.graphon import PatternTooLargeError, SubgraphPattern
 from phases.optimizer import OptimizerOptions
 from phases import scan
 from phases.scan import phase_scan
@@ -104,6 +104,16 @@ def test_solver_fault_propagates(monkeypatch):
     monkeypatch.setattr(scan, "constrained_entropy", broken)
     with pytest.raises(RuntimeError, match="solver fault"):
         phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST)
+
+
+def test_pattern_above_vertex_cap_is_rejected_before_any_cell(monkeypatch):
+    # PatternTooLargeError is a ValueError, which a cell would record as a
+    # target outside the domain
+    solved = []
+    monkeypatch.setattr(scan, "constrained_entropy", lambda *a, **k: solved.append(a))
+    with pytest.raises(PatternTooLargeError, match="pattern has 7 vertices, cap is 6"):
+        phase_scan((PATTERNS[0], SubgraphPattern.star(6)), (0.4, 0.44), (0.03, 0.05), (2, 1), FAST)
+    assert solved == []
 
 
 def test_domain_error_marks_cell_failed(monkeypatch):

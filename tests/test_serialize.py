@@ -104,3 +104,84 @@ def test_grid_permuton_k_mismatch(tmp_path):
     path.write_text(json.dumps({"k": 3, "g": [[2.0, 0.0], [0.0, 2.0]]}))
     with pytest.raises(FileFormatError, match="g"):
         load_grid_permuton(str(path))
+
+
+def _result_records():
+    """One fixed instance of each result record, with the JSON that record's
+    hand-written to_dict gave, written out from its attributes."""
+    from phases.graphon import ConstraintVector
+    from phases.metrics import dbar_distance
+    from phases.optimizer import OptimizerResult, SignedMaxResult, reference_construction
+    from phases.permuton import PermutonOptimizerResult, StarPattern, count_constrained_perms
+    from phases.sampler import enumerate_Z
+
+    q = StepGraphon.bipodal(0.5, 0.15898577358247695, 0.15898577358247695, 0.6410142264175231)
+    opt = OptimizerResult(graphon=q, entropy=0.2727041598259955, residuals=(1.5e-10, 0.0),
+                          podality=2, symmetric_bipodal=True, constant=False,
+                          multistart_spread=2.5e-7, feasible=True, m=2,
+                          insertion_gain=4.4e-16, escalation_stop="certified")
+    signed = SignedMaxResult(value=0.125, graphon=StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]),
+                             residual=0.0, feasible=True, m=2)
+    perm = PermutonOptimizerResult(permuton=GridPermuton([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]),
+                                   entropy=-0.25, residuals=(3e-9,), feasible=True, degenerate=False)
+    count = count_constrained_perms(5, [(StarPattern.parse("12"), 0.5)], 0.2)
+    enum = enumerate_Z(4, ConstraintVector.edge_triangle(0.5, 0.1, 0.3))
+    dbar = dbar_distance(reference_construction(0.4, 0.03), reference_construction(0.4, 0.08), 3)
+    return [
+        (opt, {
+            "graphon": opt.graphon.to_dict(),
+            "entropy": opt.entropy,
+            "residuals": list(opt.residuals),
+            "podality": opt.podality,
+            "flags": {"symmetric_bipodal": opt.symmetric_bipodal, "constant": opt.constant},
+            "multistart_spread": opt.multistart_spread,
+            "feasible": opt.feasible,
+            "m": opt.m,
+            "insertion_gain": opt.insertion_gain,
+            "escalation_stop": opt.escalation_stop,
+        }),
+        (signed, {
+            "value": signed.value,
+            "graphon": signed.graphon.to_dict(),
+            "residual": signed.residual,
+            "feasible": signed.feasible,
+            "m": signed.m,
+        }),
+        (perm, {
+            "permuton": perm.permuton.to_dict(),
+            "entropy": perm.entropy,
+            "residuals": list(perm.residuals),
+            "feasible": perm.feasible,
+            "degenerate": perm.degenerate,
+        }),
+        (count, {
+            "n": count.n,
+            "count": count.count,
+            "total": count.total,
+            "log_normalized": count.log_normalized,
+            "constraints": [[p, t] for p, t in count.constraints],
+            "delta": count.delta,
+        }),
+        (enum, {
+            "n": enum.n,
+            "z": enum.z,
+            "total": enum.total,
+            "log_normalized": enum.log_normalized,
+            "histogram": [list(h) for h in enum.histogram],
+            "constraints": [[p, t] for p, t in enum.constraints],
+            "delta": enum.delta,
+        }),
+        (dbar, {
+            "value": dbar.value,
+            "max_order": dbar.max_order,
+            "graph_count": dbar.graph_count,
+            "tail_bound": dbar.tail_bound,
+        }),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_result_record_json_is_its_fields(index):
+    record, expected = _result_records()[index]
+    assert record.to_dict() == expected
+    assert json.dumps(record.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
