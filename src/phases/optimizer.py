@@ -17,9 +17,10 @@ best-pick.  A geometry object supplies the rest: `_GraphonGeometry` here
 (theta = masses and upper-triangle values; Newton directions from a
 finite-difference AL Hessian in coordinates that keep the masses on the
 simplex, and a Newton-KKT finish of the feasible rows), and
-`phases.permuton._PermutonGeometry` (theta = log of a grid permuton,
-gradient steps with Barzilai-Borwein sizes, Sinkhorn projection onto
-uniform marginals).
+`phases.permuton._PermutonGeometry` (theta = a grid permuton; Newton-CG
+directions on the grids with zero row and column sums, which keep the
+marginals uniform, so Sinkhorn scaling runs only where rounding has moved
+them).
 
 `constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
 at an m whose best graphon passes a block-insertion certificate.  At a
@@ -39,6 +40,7 @@ fails, the escalation stops after two sizes that the best is no worse than.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -104,8 +106,19 @@ class OptimizerOptions:
     m_max: int = 6
 
     def __post_init__(self):
-        if not 1 <= self.m_max <= M_CAP:
+        _check_options(self)
+        if not (isinstance(self.m_max, (int, np.integer)) and 1 <= self.m_max <= M_CAP):
             raise ValueError(f"m_max must lie in 1..{M_CAP}, got {self.m_max}")
+
+
+def _check_options(opts) -> None:
+    """ValueError for a field of OptimizerOptions or PermutonOptimizerOptions
+    outside its range."""
+    for name, low in (("n_starts", 1), ("seed", 0), ("max_outer", 1), ("max_inner", 1)):
+        if not isinstance(value := getattr(opts, name), (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not (isinstance(tol := opts.feasibility_tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise ValueError(f"feasibility_tol must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -293,22 +306,6 @@ def _al(obj, g, lam, rho):
     return obj - _dot(lam, g) - 0.5 * rho * _dot(g, g)
 
 
-class _GradientSteps:
-    """Steps along the AL gradient itself, each row's first trial step set by
-    Barzilai-Borwein and capped at steps[1]: the insertion geometry here and
-    phases.permuton._PermutonGeometry."""
-
-    def direction(self, theta, grad, lam, rho):
-        return grad
-
-    def next_step(self, eta, dth, dgr):
-        """Barzilai-Borwein (spectral) step for the next trial."""
-        denom = -_dot(dth, dgr)
-        bb = denom > 1e-18
-        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
-        return np.minimum(np.maximum(eta, 1e-10), self.steps[1])
-
-
 class _GraphonGeometry:
     """m-block step graphons for the AL driver: theta = (masses, upper-triangle
     values), a point is (c, p).
@@ -321,8 +318,8 @@ class _GraphonGeometry:
     step that the Armijo test asks a share of, and `finish` yields each final
     row as (point, objective, gaps).  A row's first trial step is steps[0],
     then what `next_step` says; `stationary` says which rows the driver may
-    stop, by the tolerance `gtol`.  _GradientSteps and phases.permuton define
-    the other geometries.
+    stop, by the tolerance `gtol`.  _InsertionGeometry and phases.permuton
+    define the other geometries.
 
     Here the direction is projected Newton (Bertsekas 1982) in reduced
     coordinates x: mass directions e_i - e_ref, ref the row's largest mass,
@@ -777,7 +774,7 @@ def maximize_entropy(
     )
 
 
-class _InsertionGeometry(_GradientSteps):
+class _InsertionGeometry:
     """Rows r in [0,1]^k of a block inserted into the k-block graphon (c, p),
     for the AL driver's ascent with no constraints: a row's objective is the
     new block's component of mass_chain_rule(c', dL/dc') at mass 0, for
@@ -785,7 +782,9 @@ class _InsertionGeometry(_GradientSteps):
     moving mass onto that block.
     Its gradient in r vanishes with the block's mass, so it is read as the
     new row's value gradient at mass _INSERTION_MASS over that mass, which is
-    exact up to a relative O(_INSERTION_MASS)."""
+    exact up to a relative O(_INSERTION_MASS).  Rows step along the gradient
+    itself, each row's first trial step set by Barzilai-Borwein and capped at
+    steps[1]."""
 
     steps = (0.05, 1e3)
     gtol = _GraphonGeometry.gtol
@@ -830,6 +829,17 @@ class _InsertionGeometry(_GradientSteps):
 
     def gain(self, grad, theta_0, theta):
         return _dot(grad, theta - theta_0)
+
+    def direction(self, theta, grad, lam, rho):
+        return grad
+
+    def next_step(self, eta, dth, dgr):
+        """Barzilai-Borwein (spectral) step for the next trial, capped at
+        steps[1]."""
+        denom = -_dot(dth, dgr)
+        bb = denom > 1e-18
+        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
+        return np.minimum(np.maximum(eta, 1e-10), self.steps[1])
 
 
 def _theta_grad(ev, c, p) -> np.ndarray:

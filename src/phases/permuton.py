@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphon import _Record, _count_window
-from .gradients import _dot
-from .optimizer import _al, _GradientSteps, _multistart
+from .gradients import _dot, _mv, _vm
+from .optimizer import _al, _check_options, _multistart
 
 MARGINAL_TOL = 1e-9
 # Exact densities are r x r matrix products while a chain's tie weight is
@@ -33,7 +33,12 @@ PLAIN_PATTERN_CAP = 6
 STAR_PATTERN_CAP = 4
 COUNT_N_CAP = 9
 DENSITY_FLOOR = 1e-12
-_LOG_FLOOR = math.log(DENSITY_FLOOR)
+# _PermutonGeometry's Newton-CG: CG products per direction, the largest
+# forcing term of its stop (_newton), and the share of a cell's distance to
+# DENSITY_FLOOR that one step may close
+_CG_STEPS = 50
+_CG_FORCING = 0.5
+_TO_BOUNDARY = 0.99
 
 
 @dataclass(frozen=True)
@@ -413,6 +418,9 @@ class PermutonOptimizerOptions:
     max_outer: int = 12
     max_inner: int = 400
 
+    def __post_init__(self):
+        _check_options(self)
+
 
 @dataclass(frozen=True)
 class PermutonOptimizerResult(_Record):
@@ -433,20 +441,18 @@ def _perm_entropy(g: np.ndarray):
     return 0.0 - (gc * log_g).sum(axis=(1, 2)) / k2, (-log_g - 1.0) / k2
 
 
-class _PermutonGeometry(_GradientSteps):
+class _PermutonGeometry:
     """Grid permutons at resolution r for the AL driver of phases.optimizer:
-    theta = log g (flattened), a point is (g,).
-
-    A driver step theta + eta * dAL/dg is an exponentiated-gradient (mirror)
-    step in g, and the projection restores uniform marginals by Sinkhorn
-    scaling, which is itself multiplicative.  Trial points get at most 400
-    Sinkhorn sweeps; finish runs the tight projection and recomputes entropy
-    and gaps.  `steps` holds the first trial step and the largest
-    Barzilai-Borwein step of phases.optimizer._GradientSteps, in units of
-    log g, and `gtol` bounds the gradient that `stationary` tests."""
+    theta = g (flattened), a point is (g,).  Directions are Newton-CG
+    (Nocedal & Wright 2006, sec. 7.1) on the grids with zero row and column
+    sums, which keep the marginals; a cell within 2 DENSITY_FLOOR of the floor
+    whose step points down is held, and step 1, each row's first trial, closes
+    at most _TO_BOUNDARY of any cell's distance to the floor.  So `project`
+    runs Sinkhorn scaling only where rounding has moved a row's marginals by
+    more than MARGINAL_TOL r, and finish runs the tight projection."""
 
     keys = ("g",)
-    steps = (0.5, 50.0)
+    steps = (1.0,)
     gtol = 1e-10
 
     def __init__(self, constraints, res: int):
@@ -455,10 +461,10 @@ class _PermutonGeometry(_GradientSteps):
         self.res = res
 
     def start(self, g):
-        return np.log(np.clip(g, DENSITY_FLOOR, None)).reshape(len(g), -1)
+        return np.clip(g, DENSITY_FLOOR, None).reshape(len(g), -1)
 
     def point(self, theta):
-        return (np.exp(theta).reshape(-1, self.res, self.res),)
+        return (theta.reshape(-1, self.res, self.res),)
 
     def measure(self, g):
         gaps = np.empty((len(g), len(self.evals)))
@@ -467,13 +473,15 @@ class _PermutonGeometry(_GradientSteps):
         return _perm_entropy(g)[0], gaps
 
     def project(self, theta):
-        (g,) = self.point(np.clip(theta, _LOG_FLOOR, -_LOG_FLOOR))
-        return self.start(project_uniform_marginals(g, max_iter=400))
+        (g,) = self.point(np.maximum(theta, DENSITY_FLOOR))
+        off = np.abs(np.concatenate([g.sum(axis=1), g.sum(axis=2)], axis=1) - self.res)
+        off = off.max(axis=1) > MARGINAL_TOL * self.res
+        if off.any():
+            g[off] = project_uniform_marginals(g[off])
+        return g.reshape(len(theta), -1)
 
     def stationary(self, theta, grad):
-        """Rows whose double-centred AL gradient is below gtol: the part of a
-        step in log g that the projection's row and column rescaling does not
-        absorb.  No Sinkhorn is run."""
+        """Rows whose AL gradient's tangent part (double-centred) is below gtol."""
         grad = grad.reshape(-1, self.res, self.res)
         centred = (grad - grad.mean(axis=1, keepdims=True) - grad.mean(axis=2, keepdims=True)
                    + grad.mean(axis=(1, 2), keepdims=True))
@@ -491,8 +499,91 @@ class _PermutonGeometry(_GradientSteps):
         return _al(h, gaps, lam, rho), gaps, grad.reshape(len(g), -1), h
 
     def gain(self, grad, theta_0, theta):
-        # paired with the change in g, not in log g: the mirror-step form
-        return _dot(grad, np.exp(theta) - np.exp(theta_0))
+        return _dot(grad, theta - theta_0)
+
+    def next_step(self, eta, dth, dgr):
+        return np.ones_like(eta)
+
+    def direction(self, theta, grad, lam, rho):
+        """Newton-CG directions, solved again while a cell near the floor that
+        is not held steps down."""
+        (g,) = self.point(theta)
+        dens = [ev(g, grad=True) for ev in self.evals]
+        coef = lam + rho[:, None] * (np.stack([t for t, _ in dens], axis=1) - self.targets)
+        low, held, d = g <= 2.0 * DENSITY_FLOOR, np.zeros(g.shape, dtype=bool), np.empty_like(g)
+        rows = np.arange(len(g))  # rows whose direction is still to be found
+        while rows.size:
+            d[rows] = self._newton(g[rows], grad.reshape(g.shape)[rows], held[rows], coef[rows],
+                                   rho[rows], [dt[rows] for _, dt in dens])
+            out = low[rows] & (d[rows] < 0.0) & ~held[rows]
+            held[rows] |= out
+            rows = rows[out.any(axis=(1, 2))]
+        room = np.divide(g - DENSITY_FLOOR, -d, out=np.full_like(d, np.inf), where=d < 0.0)
+        step = np.minimum(1.0, _TO_BOUNDARY * room.min(axis=(1, 2)))
+        return (d * step[:, None, None]).reshape(len(g), -1)
+
+    def _newton(self, g, grad, held, coef, rho, dts):
+        """Truncated projected CG (Gould, Hribar & Nocedal 2001) on B d = grad,
+        B = -(AL Hessian), over tangent grids that are 0 on held cells.  A row
+        stops at a preconditioned residual norm min(_CG_FORCING, sqrt(first))
+        times the first, at negative curvature (where that is the first step,
+        d is the preconditioned gradient) or after _CG_STEPS products."""
+        tangent, d = self._tangent(np.where(held, 0.0, self.res**2 * g)), np.zeros_like(g)
+        p, res = tangent(tangent(grad, slice(None))[1], slice(None))  # twice: grad may be mostly normal
+        rz = (res * p).sum(axis=(1, 2))
+        stop = np.minimum(_CG_FORCING**2, np.sqrt(np.maximum(rz, 0.0))) * rz
+        rows = np.flatnonzero(rz > stop)
+        for it in range(_CG_STEPS):
+            if not rows.size:
+                break
+            pr = p[rows]
+            bp = self._curvature(g[rows], pr, coef[rows], rho[rows], [dt[rows] for dt in dts])
+            curv = (pr * bp).sum(axis=(1, 2))
+            neg = curv <= 0.0
+            if it == 0:
+                d[rows[neg]] = pr[neg]
+            alpha = np.where(neg, 0.0, rz[rows] / np.where(neg, 1.0, curv))[:, None, None]
+            d[rows] += alpha * pr
+            z, res[rows] = tangent(res[rows] - alpha * bp, rows)
+            rz_new = (res[rows] * z).sum(axis=(1, 2))
+            p[rows] = z + (rz_new / rz[rows])[:, None, None] * pr
+            rz[rows] = rz_new
+            rows = rows[~neg & (rz_new > stop[rows])]
+        return d
+
+    @staticmethod
+    def _tangent(dw):
+        """CG's preconditioner D = dw, the inverse of the entropy's Hessian
+        where not held, on the tangent space: x on the rows sel to (D y, y),
+        y = x - a 1^T - 1 b^T with the potentials that give D y zero row and
+        column sums, b from a pseudo-inverted weighted Laplacian.  y, the
+        residual less its normal part, keeps CG's rounding small."""
+        rows = dw.sum(axis=2)
+        lap = (np.eye(dw.shape[1]) * dw.sum(axis=1)[:, None, :]
+               - np.swapaxes(dw, 1, 2) @ (dw / rows[:, :, None]))
+        inv = np.linalg.pinv(lap, rcond=1e-14, hermitian=True)
+
+        def apply(x, sel):
+            d, rs_d = dw[sel], rows[sel]
+            rs = (d * x).sum(axis=2)
+            b = _mv(inv[sel], (d * x).sum(axis=1) - _vm(rs / rs_d, d))
+            y = x - ((rs - _mv(d, b)) / rs_d)[:, :, None] - b[:, None, :]
+            return d * y, y
+
+        return apply
+
+    def _curvature(self, g, p, coef, rho, dts):
+        """B p per row: p / (r^2 g) and, per density t, coef (Hessian of t) p
+        + rho (grad t . p) grad t.  The Hessian product is a central difference
+        of gradients at g +- s p, exact up to rounding for patterns of length
+        <= 3, whose gradients are quadratic in g."""
+        n, out = len(g), p / (self.res**2 * g)
+        s = (np.abs(g).max(axis=(1, 2)) / np.maximum(np.abs(p).max(axis=(1, 2)), 1e-300))[:, None, None]
+        for ev, dt, c in zip(self.evals, dts, coef.T):
+            dd = ev(np.concatenate([g + s * p, g - s * p]), grad=True)[1]
+            out += c[:, None, None] * (dd[:n] - dd[n:]) / (2.0 * s)
+            out += (rho * (dt * p).sum(axis=(1, 2)))[:, None, None] * dt
+        return out
 
     def finish(self, theta, gaps, h):
         g = project_uniform_marginals(self.point(theta)[0])
@@ -507,16 +598,16 @@ def maximize_permuton_entropy(
     """Maximize permuton entropy over grid permutons subject to star-pattern
     density constraints: the augmented-Lagrangian multistart driver of
     phases.optimizer, the one the graphon solver runs, on the permuton
-    geometry (mirror ascent in log g, uniform marginals restored by Sinkhorn
-    scaling after every step).  The starts are the uniform permuton, which
-    also joins the pool as it is when feasible, and random grids.
+    geometry (Newton-CG steps that keep the marginals uniform).  The starts
+    are the uniform permuton, which also joins the pool as it is when
+    feasible, and random grids.
 
     constraints: sequence of (StarPattern, target).  Infeasibility (no start
     reaches the tolerance) is reported explicitly; `degenerate` flags runs
     that collapsed onto the density floor (singular-permuton limits).
     """
-    if resolution > EXACT_RESOLUTION_CAP:
-        raise ValueError(f"resolution capped at {EXACT_RESOLUTION_CAP}")
+    if not 1 <= resolution <= EXACT_RESOLUTION_CAP:
+        raise ValueError(f"resolution must lie in 1..{EXACT_RESOLUTION_CAP}, got {resolution}")
     opts = opts or PermutonOptimizerOptions()
     geo = _PermutonGeometry([(p, float(t)) for p, t in constraints], resolution)
     rng = np.random.default_rng(opts.seed)
@@ -525,8 +616,7 @@ def maximize_permuton_entropy(
         raw = rng.uniform(0.2, 1.8, (opts.n_starts - 1, resolution, resolution))
         starts += [(g,) for g in project_uniform_marginals(raw)]
     best, _ = _multistart(geo, starts, starts[:1], opts)
-    g = project_uniform_marginals(best["g"])
-    feasible = best["feasible"]
+    g, feasible = best["g"], best["feasible"]  # finish has projected g
     return PermutonOptimizerResult(
         permuton=GridPermuton(g),
         entropy=best["objective"],

@@ -224,6 +224,22 @@ def einsum_density(w: np.ndarray, pattern: StarPattern) -> float:
     return total
 
 
+def einsum_gradient(g: np.ndarray, pattern: StarPattern) -> np.ndarray:
+    """The gradient in g of einsum_density(g / r^2): per completion, each of
+    the k factors w in turn left out of the contraction, whose output keeps
+    that factor's two indices."""
+    k, res = pattern.k, len(g)
+    u, v = "abc"[:k], "xyz"[:k]
+    chain = chain_tensor(k, res)
+    out = np.zeros_like(g)
+    for tau in pattern.completions():
+        ops = [u[t] + v[tau[t] - 1] for t in range(k)]
+        for s in range(k):
+            subs = ",".join(ops[:s] + ops[s + 1 :] + [u, v]) + "->" + ops[s]
+            out += math.factorial(k) * np.einsum(subs, *[g / res**2] * (k - 1), chain, chain)
+    return out / res**2
+
+
 def check_completion_density(density, pattern, g, seed):
     """Each row of a batched call is bit-equal to a one-grid call, matches
     einsum_density to 1e-12 and has the slope of a central difference."""

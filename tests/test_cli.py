@@ -89,6 +89,21 @@ def test_m_max_outside_the_podality_range_is_a_usage_error(tmp_path, capsys, sub
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["optimize", "--eps", "0.4", "--tau", "0.05", "--tol", "-1", "--m-max", "2", "--starts", "2"],
+     "feasibility_tol must be positive and finite"),
+    (["optimize", "--eps", "0.4", "--tau", "0.05", "--starts", "-3"], "n_starts must be an integer >= 1"),
+    (["perm-optimize", "--constraint", "12=0.4", "--starts", "0"], "n_starts must be an integer >= 1"),
+    (["perm-optimize", "--constraint", "12=0.4", "--starts", "-2"], "n_starts must be an integer >= 1"),
+    (["perm-optimize", "--constraint", "12=0.4", "--resolution", "0"], "resolution must lie in 1..40"),
+])
+def test_option_outside_its_range_is_a_usage_error(tmp_path, capsys, args, message):
+    # the first died with a StopIteration traceback, the next three ran
+    assert run(tmp_path, *args, "--out", str(tmp_path / "o")) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_scan_pattern_above_vertex_cap_is_a_usage_error(tmp_path, capsys):
     # as through optimize: exit 1 with the cap, not a map of failed cells
     csv_path = tmp_path / "s.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from phases.optimizer import (
     reference_construction,
     staircase_graphon,
 )
+from phases.permuton import PermutonOptimizerOptions, StarPattern, maximize_permuton_entropy
 
 FAST = OptimizerOptions(n_starts=8, seed=7, m_max=4)
 PANEL = OptimizerOptions(n_starts=8, m_max=6)  # the benchmark's optimize panel
@@ -537,6 +539,43 @@ def test_m_max_outside_the_podality_range_is_rejected(m_max):
     with pytest.raises(ValueError, match=f"m_max must lie in 1..{optimizer.M_CAP}"):
         OptimizerOptions(m_max=m_max)
     OptimizerOptions(m_max=optimizer.M_CAP)
+
+
+# a small solve of each kind, so that every accepted value is run
+OPTION_BASES = (OptimizerOptions(n_starts=2, max_outer=3, max_inner=20, m_max=2),
+                PermutonOptimizerOptions(n_starts=2, max_outer=3, max_inner=20))
+OPTION_VALUES = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [-1.0, 0.0, 1e-8, 0.5, 2.5, math.inf, -math.inf, math.nan, True, None, "1"]))
+
+
+@pytest.mark.parametrize("kind, name", [(kind, f.name) for kind, base in enumerate(OPTION_BASES)
+                                        for f in dataclasses.fields(base)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(value=OPTION_VALUES)
+def test_every_option_value_is_refused_with_its_name_or_solved(kind, name, value):
+    # --tol -1 once died in constrained_entropy with StopIteration and
+    # --starts -3 ran; a value is now a ValueError naming its field, or valid
+    try:
+        opts = replace(OPTION_BASES[kind], **{name: value})
+    except ValueError as exc:
+        assert name in str(exc)
+        return
+    if kind == 0:
+        res = constrained_entropy(ConstraintVector.edge_triangle(0.4, 0.05), opts)
+        assert res.escalation_stop is not None
+    else:
+        res = maximize_permuton_entropy([(StarPattern.parse("12"), 0.4)], 4, opts)
+        assert res.permuton.k == 4
+
+
+@pytest.mark.parametrize("cls", [OptimizerOptions, PermutonOptimizerOptions])
+@pytest.mark.parametrize("name, value", [("n_starts", 0), ("n_starts", -3), ("seed", -1),
+                                         ("max_outer", 0), ("max_inner", 0),
+                                         ("feasibility_tol", -1.0), ("feasibility_tol", 0.0),
+                                         ("feasibility_tol", math.nan)])
+def test_options_outside_their_range_are_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 # ---------------------------------------------------------------------------

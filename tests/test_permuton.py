@@ -1,12 +1,14 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phases import permuton
 from phases.permuton import (
     MARGINAL_TOL,
     GridPermuton,
@@ -15,6 +17,8 @@ from phases.permuton import (
     StarPattern,
     _all_perms,
     _matches,
+    _perm_entropy,
+    _PermutonGeometry,
     _rank_tuple,
     count_constrained_perms,
     maximize_permuton_entropy,
@@ -24,7 +28,7 @@ from phases.permuton import (
     permuton_pattern_density,
     project_uniform_marginals,
 )
-from test_batch import einsum_density
+from test_batch import einsum_density, einsum_gradient
 
 P12 = StarPattern.parse("12")
 P123 = StarPattern.parse("123")
@@ -254,6 +258,94 @@ class TestPermutonOptimizer:
     def test_resolution_cap(self):
         with pytest.raises(ValueError, match="resolution"):
             maximize_permuton_entropy([(P12, 0.5)], 60)
+
+    @pytest.mark.parametrize("res", [0, -2])
+    def test_resolution_below_one_is_rejected(self, res):
+        with pytest.raises(ValueError, match="resolution must lie in 1..40"):
+            maximize_permuton_entropy([(P12, 0.5)], res)
+
+
+# ---------------------------------------------------------------------------
+# the Newton-CG steps of _PermutonGeometry, against the einsum reference
+
+NEWTON_CG = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CG_PATTERNS = ["1", "12", "21", "123", "132", "*2*", "2*1"]
+
+
+def solver_state(name, res, seed, spread):
+    """A geometry with one constraint on the pattern name, and one row
+    (theta, grad, lam, rho) of a grid with uniform marginals whose log
+    cells spread over [-spread, spread] before the projection."""
+    rng = np.random.default_rng(seed)
+    pattern = StarPattern.parse(name)
+    geo = _PermutonGeometry([(pattern, float(rng.uniform(0.1, 0.9)) / pattern.k)], res)
+    theta = geo.start(project_uniform_marginals(np.exp(rng.uniform(-spread, spread, (1, res, res)))))
+    GridPermuton(geo.point(theta)[0][0])  # checks the marginals
+    lam = rng.normal(size=(1, 1))
+    rho = np.array([10.0 ** rng.uniform(1.0, 6.0)])
+    return geo, pattern, theta, geo.grads(theta, lam, rho)[2], lam, rho
+
+
+def al_gradient_reference(g, pattern, target, lam, rho):
+    """The AL gradient in g from the einsum reference density."""
+    res = len(g)
+    gap = einsum_density(g / res**2, pattern) - target
+    return _perm_entropy(g[None])[1][0] - (lam + rho * gap) * einsum_gradient(g, pattern)
+
+
+@NEWTON_CG
+@given(name=st.sampled_from(CG_PATTERNS), res=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_curvature_matches_a_difference_of_einsum_gradients(name, res, seed):
+    geo, pattern, theta, _, lam, rho = solver_state(name, res, seed, 1.0)
+    (g,) = geo.point(theta)
+    p = np.random.default_rng(seed + 1).normal(size=g.shape)
+    t, dt = geo.evals[0](g, grad=True)
+    coef = lam + rho * (t - geo.targets)[:, None]
+    bp = geo._curvature(g, p, coef, rho, [dt])[0]
+    h = 1e-5
+    up, down = (al_gradient_reference(g[0] + s * h * p[0], pattern, geo.targets[0],
+                                      lam[0, 0], rho[0]) for s in (1.0, -1.0))
+    expect = -(up - down) / (2.0 * h)
+    np.testing.assert_allclose(bp, expect, rtol=0, atol=1e-6 * np.abs(expect).max())
+
+
+@NEWTON_CG
+@given(name=st.sampled_from(CG_PATTERNS), res=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([0.5, 2.0, 5.0]))
+@example(name="1", res=2, seed=1, spread=0.5)  # a gradient 1e6 times its tangent part
+def test_directions_are_tangent_ascent_directions(name, res, seed, spread):
+    # zero row and column sums keep the marginals; grad . d > 0 wherever the
+    # tangent gradient is not zero
+    geo, _, theta, grad, lam, rho = solver_state(name, res, seed, spread)
+    d = geo.direction(theta, grad, lam, rho).reshape(res, res)
+    for sums in (d.sum(axis=0), d.sum(axis=1)):
+        assert np.abs(sums).max() <= 1e-12 * res
+    (g,) = geo.point(theta)
+    assert (g[0] + d >= permuton.DENSITY_FLOOR).all()
+    if not geo.stationary(theta, grad)[0]:
+        assert np.sum(grad * d.reshape(1, -1)) > 0.0
+
+
+def test_two_constraint_solve_converges(monkeypatch):
+    # 12 = 0.45 with 123 = 0.2 at r = 10: gradient steps read -0.7141970 at
+    # the default max_inner 400 and -0.7141024 at 1600, and moved by up to
+    # 1.9e-5 under a last-bit change of the density
+    cons = [(P12, 0.45), (P123, 0.2)]
+    t0 = time.perf_counter()
+    res = maximize_permuton_entropy(cons, 10, PermutonOptimizerOptions(n_starts=3))
+    assert time.perf_counter() - t0 < 2.0
+    assert res.feasible and not res.degenerate
+    assert res.entropy >= -0.7141024
+    call = permuton._PatternDensity.__call__
+
+    def scaled(self, g, grad=False):
+        val, dg = call(self, g, grad)
+        return val * (1.0 + 2.0**-52), (None if dg is None else dg * (1.0 + 2.0**-52))
+
+    monkeypatch.setattr(permuton._PatternDensity, "__call__", scaled)
+    moved = maximize_permuton_entropy(cons, 10, PermutonOptimizerOptions(n_starts=3))
+    assert moved.feasible
+    assert abs(moved.entropy - res.entropy) <= 1e-8
 
 
 class TestCounting:
