@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .graphon import (
+    DEFAULT_VERTEX_CAP,
     ConstraintVector,
     SubgraphPattern,
     graphon_entropy,
@@ -40,7 +41,7 @@ from .permuton import (
     permuton_pattern_density,
 )
 from .sampler import ChainConfig, SamplerInitError, enumerate_Z, sample_constrained
-from .scan import phase_scan
+from .scan import SPIKE_FACTOR, SVG_FIELDS, phase_scan
 from .serialize import (
     FileFormatError,
     load_grid_permuton,
@@ -173,7 +174,7 @@ def _constraints_from_opts(opts: dict) -> ConstraintVector:
             doc = json.load(fh)
         terms = []
         for i, item in enumerate(doc):
-            if "pattern" not in item or "target" not in item:
+            if not isinstance(item, dict) or "pattern" not in item or "target" not in item:
                 raise FileFormatError(path, f"[{i}]", "needs pattern and target")
             spec = item["pattern"]
             pat = (
@@ -183,11 +184,10 @@ def _constraints_from_opts(opts: dict) -> ConstraintVector:
             )
             terms.append((pat, float(item["target"])))
         return ConstraintVector(tuple(terms), delta)
-    model = opts.get("model") or "edge-triangle"
     eps, tau = opts.get("eps"), opts.get("tau")
     if eps is None or tau is None:
         raise UsageError("need --eps and --tau (or --constraints FILE)")
-    p2 = _model_patterns(model)[1]
+    p2 = _model_patterns(opts["model"])[1]
     return ConstraintVector(
         ((SubgraphPattern.edge(), float(eps)), (p2, float(tau))), delta
     )
@@ -246,6 +246,8 @@ def _cmd_reference(opts):
 
 
 def _cmd_scan(opts):
+    if opts["svg_field"] not in SVG_FIELDS:
+        raise UsageError(f"unknown --svg-field {opts['svg_field']!r} ({' | '.join(SVG_FIELDS)})")
     nx, ny = (int(t) for t in str(opts["grid"]).lower().split("x"))
     pats = _model_patterns(opts["model"])
     pm = phase_scan(
@@ -281,9 +283,11 @@ def _cmd_sample(opts):
     cons = _constraints_from_opts(opts)
     if cons.delta <= 0:
         raise UsageError("sampling needs --delta > 0")
+    chains = int(opts["chains"])
+    if chains < 1:
+        raise UsageError(f"--chains must be at least 1, got {chains}")
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    chains = int(opts["chains"])
     # one RNG stream per chain: seeds split from the base seed
     seeds = np.random.SeedSequence(int(opts["seed"])).generate_state(chains)
     summaries = []
@@ -421,10 +425,18 @@ def _common(parser, sub):
          help="recorded in the manifest only; every run is serial")
 
 
-def _optimizer_flags(parser, sub):
-    _opt(parser, sub, "--starts", type=int, default=40, help="multistart count")
-    _opt(parser, sub, "--m-max", dest="m_max", type=int, default=6)
-    _opt(parser, sub, "--tol", type=float, default=1e-8, help="feasibility tolerance")
+def _optimizer_flags(parser, sub, starts=OptimizerOptions.n_starts, m_max=OptimizerOptions.m_max):
+    _opt(parser, sub, "--starts", type=int, default=starts, help="multistart count")
+    _opt(parser, sub, "--m-max", dest="m_max", type=int, default=m_max)
+    _opt(parser, sub, "--tol", type=float, default=OptimizerOptions.feasibility_tol,
+         help="feasibility tolerance")
+
+
+def _target_flags(parser, sub):
+    _opt(parser, sub, "--model", default="edge-triangle")
+    _opt(parser, sub, "--eps", type=float)
+    _opt(parser, sub, "--tau", type=float)
+    _opt(parser, sub, "--constraints", help="JSON constraint list file")
 
 
 def build_parser() -> _Parser:
@@ -435,7 +447,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("density", help="pattern density of a step graphon")
     _required(p, "density", "--graphon")
     _required(p, "density", "--pattern")
-    _opt(p, "density", "--vertex-cap", dest="vertex_cap", type=int, default=6)
+    _opt(p, "density", "--vertex-cap", dest="vertex_cap", type=int, default=DEFAULT_VERTEX_CAP)
     _common(p, "density")
     p.set_defaults(func=_cmd_density)
 
@@ -445,10 +457,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_entropy)
 
     p = subs.add_parser("optimize", help="constrained entropy maximization")
-    _opt(p, "optimize", "--model", default="edge-triangle")
-    _opt(p, "optimize", "--eps", type=float)
-    _opt(p, "optimize", "--tau", type=float)
-    _opt(p, "optimize", "--constraints", help="JSON constraint list file")
+    _target_flags(p, "optimize")
     _opt(p, "optimize", "--m", type=int, help="fix the ansatz size (else escalate)")
     _opt(p, "optimize", "--signed-objective", dest="signed_objective",
          help="maximize this signed density instead of entropy")
@@ -473,21 +482,16 @@ def build_parser() -> _Parser:
     _opt(p, "scan", "--tau-max", dest="tau_max", type=float, default=0.2)
     _opt(p, "scan", "--svg", help="SVG heatmap output path")
     _opt(p, "scan", "--svg-field", dest="svg_field", default="entropy",
-         help="entropy | podality | transition")
-    _opt(p, "scan", "--spike-factor", dest="spike_factor", type=float, default=10.0)
-    _opt(p, "scan", "--starts", type=int, default=6)
-    _opt(p, "scan", "--m-max", dest="m_max", type=int, default=3)
-    _opt(p, "scan", "--tol", type=float, default=1e-8)
+         help=" | ".join(SVG_FIELDS))
+    _opt(p, "scan", "--spike-factor", dest="spike_factor", type=float, default=SPIKE_FACTOR)
+    _optimizer_flags(p, "scan", starts=6, m_max=3)
     _common(p, "scan")
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("sample", help="microcanonical MCMC over finite graphs")
     _required(p, "sample", "--n", type=int)
     _required(p, "sample", "--out-dir", dest="out_dir")
-    _opt(p, "sample", "--model", default="edge-triangle")
-    _opt(p, "sample", "--eps", type=float)
-    _opt(p, "sample", "--tau", type=float)
-    _opt(p, "sample", "--constraints")
+    _target_flags(p, "sample")
     _opt(p, "sample", "--delta", type=float, default=0.01)
     _opt(p, "sample", "--samples", type=int, default=10)
     _opt(p, "sample", "--burn-in", dest="burn_in", type=int)
@@ -498,10 +502,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("enumerate", help="exact count of constrained graphs")
     _required(p, "enumerate", "--n", type=int)
-    _opt(p, "enumerate", "--model", default="edge-triangle")
-    _opt(p, "enumerate", "--eps", type=float)
-    _opt(p, "enumerate", "--tau", type=float)
-    _opt(p, "enumerate", "--constraints")
+    _target_flags(p, "enumerate")
     _opt(p, "enumerate", "--delta", type=float, default=0.05)
     _opt(p, "enumerate", "--histogram", help="write the edge/triangle histogram CSV")
     _opt(p, "enumerate", "--full-histogram", dest="full_histogram",
@@ -521,7 +522,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("perm-optimize", help="constrained permuton entropy maximization")
     p.add_argument("--constraint", action="append", help="PATTERN=TARGET (repeatable)")
     _opt(p, "perm-optimize", "--resolution", type=int, default=20)
-    _opt(p, "perm-optimize", "--starts", type=int, default=16)
+    _opt(p, "perm-optimize", "--starts", type=int, default=PermutonOptimizerOptions.n_starts)
     _common(p, "perm-optimize")
     p.set_defaults(func=_cmd_perm_optimize)
 

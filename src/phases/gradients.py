@@ -27,12 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphon import (
-    DEFAULT_VERTEX_CAP,
-    PatternTooLargeError,
-    SubgraphPattern,
-    _pattern_kind,
-)
+from .graphon import SubgraphPattern, _check_vertex_cap, _pattern_kind
 
 _LOG_CLIP = 1e-12
 
@@ -226,10 +221,7 @@ class DensityEvaluator:
     """
 
     def __init__(self, pattern: SubgraphPattern):
-        if pattern.k > DEFAULT_VERTEX_CAP:
-            raise PatternTooLargeError(
-                f"pattern has {pattern.k} vertices, cap is {DEFAULT_VERTEX_CAP}"
-            )
+        _check_vertex_cap(pattern)
         self.pattern = pattern
         self.kind, self.arity = _pattern_kind(pattern)
 

@@ -347,6 +347,12 @@ def pattern_operands(q: StepGraphon, pattern: SubgraphPattern) -> list[np.ndarra
     return ops
 
 
+def _check_vertex_cap(pattern: SubgraphPattern, cap: int = DEFAULT_VERTEX_CAP) -> None:
+    """PatternTooLargeError for a pattern with more than cap vertices."""
+    if pattern.k > cap:
+        raise PatternTooLargeError(f"pattern has {pattern.k} vertices, cap is {cap}")
+
+
 def subgraph_density(
     q: StepGraphon, pattern: SubgraphPattern, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> float:
@@ -356,10 +362,7 @@ def subgraph_density(
     Cost is O(m^k) contracted via einsum; patterns with k > vertex_cap are
     rejected to bound the cost.
     """
-    if pattern.k > vertex_cap:
-        raise PatternTooLargeError(
-            f"pattern has {pattern.k} vertices, cap is {vertex_cap}"
-        )
+    _check_vertex_cap(pattern, vertex_cap)
     sub = pattern_subscripts(pattern)
     path = _einsum_path(sub, q.m, pattern.k, len(pattern.all_edges))
     val = float(np.einsum(sub, *pattern_operands(q, pattern), optimize=path))

@@ -19,8 +19,9 @@ finite-difference AL Hessian in coordinates that keep the masses on the
 simplex, and a Newton-KKT finish of the feasible rows), and
 `phases.permuton._PermutonGeometry` (theta = a grid permuton; Newton-CG
 directions on the grids with zero row and column sums, which keep the
-marginals uniform, so Sinkhorn scaling runs only where rounding has moved
-them).
+marginals uniform up to rounding, so Sinkhorn scaling runs only on the
+starts and the finished grids).  The Armijo test's gain is the driver's
+own, read from the geometry's gradient (`_backtrack`).
 
 `constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
 at an m whose best graphon passes a block-insertion certificate.  At a
@@ -314,8 +315,7 @@ class _GraphonGeometry:
     `point` map batches of points to theta and back, `measure` gives the
     objective and constraint gaps of a batch of points, `project` moves rows
     of theta back into the domain, `grads` gives the AL value and gradient,
-    `direction` each row's ascent direction, `gain` the first-order gain of a
-    step that the Armijo test asks a share of, and `finish` yields each final
+    `direction` each row's ascent direction, and `finish` yields each final
     row as (point, objective, gaps).  A row's first trial step is steps[0],
     then what `next_step` says; `stationary` says which rows the driver may
     stop, by the tolerance `gtol`.  _InsertionGeometry and phases.permuton
@@ -385,10 +385,6 @@ class _GraphonGeometry:
             dv = dv - coef[:, None, None] * dvj
             dc = dc - coef[:, None] * dcj
         return _al(obj, g, lam, rho), g, _theta_grads(c, dv, dc), obj
-
-    def gain(self, grad, theta_0, theta):
-        step, m = theta - theta_0, self.m
-        return _dot(grad[:, m:], step[:, m:]) + _dot(grad[:, :m], step[:, :m])
 
     def next_step(self, eta, dth, dgr):
         return np.ones_like(eta)
@@ -577,8 +573,9 @@ def _ascend(geo, theta, lam, rho, opts):
 
 
 def _backtrack(geo, theta, direction, grad, f, eta, lam, rho):
-    """Armijo backtracking from each row along its direction, the test's gain
-    read from its gradient.
+    """Armijo backtracking from each row along its direction: a trial point x
+    passes when it raises the AL by at least 1e-4 grad . (x - theta), the
+    first-order gain of the projected step, floored at 0.
 
     Trial j steps by eta / 2^j, for j < 60 while that is at least 1e-14; the
     first trial passing the Armijo test is taken.  Trials are independent, so
@@ -593,12 +590,11 @@ def _backtrack(geo, theta, direction, grad, f, eta, lam, rho):
         steps = eta[rows, None] / 2.0**j
         valid = (steps >= 1e-14) | (j == 0)
         src = np.repeat(rows, size)
-        th0, g0 = theta[src], grad[src]
-        th = geo.project(th0 + steps.reshape(-1, 1) * direction[src])
+        th = geo.project(theta[src] + steps.reshape(-1, 1) * direction[src])
         obj, gt = geo.measure(*geo.point(th))
         ft = _al(obj, gt, lam[src], rho[src])
-        gain = geo.gain(g0, th0, th)
-        hit = (ft + 1e-18 >= f[src] + 1e-4 * np.maximum(gain, 0.0)).reshape(-1, size) & valid
+        gain = np.maximum(_dot(grad[src], th - theta[src]), 0.0)
+        hit = (ft + 1e-18 >= f[src] + 1e-4 * gain).reshape(-1, size) & valid
         found = hit.any(axis=1)
         if first == 0:
             if found.all():
@@ -826,9 +822,6 @@ class _InsertionGeometry:
         c, dv, dc = self._lagrangian(np.concatenate([theta, theta]), mass)
         gain = mass_chain_rule(c[:n], dc[:n])[:, -1]
         return gain, np.empty((n, 0)), dv[n:, k, :k] / _INSERTION_MASS, gain
-
-    def gain(self, grad, theta_0, theta):
-        return _dot(grad, theta - theta_0)
 
     def direction(self, theta, grad, lam, rho):
         return grad

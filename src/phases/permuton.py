@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphon import _Record, _count_window
-from .gradients import _dot, _mv, _vm
+from .gradients import _mv, _vm
 from .optimizer import _al, _check_options, _multistart
 
 MARGINAL_TOL = 1e-9
@@ -33,6 +33,7 @@ PLAIN_PATTERN_CAP = 6
 STAR_PATTERN_CAP = 4
 COUNT_N_CAP = 9
 DENSITY_FLOOR = 1e-12
+_SINKHORN_SWEEPS = 5000  # project_uniform_marginals refuses a grid still off after these
 # _PermutonGeometry's Newton-CG: CG products per direction, the largest
 # forcing term of its stop (_newton), and the share of a cell's distance to
 # DENSITY_FLOOR that one step may close
@@ -206,15 +207,21 @@ def _rank_tuple(values) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _check_length(pattern: StarPattern, n: int) -> int:
+    """The pattern's length k; a ValueError where k exceeds the permutation
+    size n or the cap for counting its occurrences."""
+    k, cap = pattern.k, PLAIN_PATTERN_CAP if pattern.is_plain else STAR_PATTERN_CAP
+    if k > n:
+        raise ValueError(f"pattern length {k} exceeds permutation size {n}")
+    if k > cap:
+        raise ValueError(f"pattern length {k} above cap {cap}")
+    return k
+
+
 def perm_pattern_density(pi: Permutation, pattern: StarPattern) -> Fraction:
     """Fraction of k-subsets of positions whose induced relative order matches
     the pattern (any completion, for star patterns).  Exact rational."""
-    k = pattern.k
-    if k > pi.n:
-        raise ValueError(f"pattern length {k} exceeds permutation size {pi.n}")
-    cap = PLAIN_PATTERN_CAP if pattern.is_plain else STAR_PATTERN_CAP
-    if k > cap:
-        raise ValueError(f"pattern length {k} above cap {cap}")
+    k = _check_length(pattern, pi.n)
     wanted = set(pattern.completions())
     count = 0
     vals = pi.values
@@ -367,14 +374,16 @@ def permuton_pattern_density(
     raise ValueError(f"unknown method {method!r}")
 
 
-def project_uniform_marginals(g: np.ndarray, max_iter: int = 5000) -> np.ndarray:
+def project_uniform_marginals(g: np.ndarray) -> np.ndarray:
     """Alternating row/column renormalization onto the uniform-marginal
     manifold (row and column sums equal to the resolution), of one grid
     (k, k) or of each grid of a batch (B, k, k).  A grid whose sums are
     already within MARGINAL_TOL k of k is returned unchanged.  Each grid
     stops once within that tolerance, so a grid of a batch ends as it would
     alone.  A column step leaves the column sums exact up to rounding, so
-    after the first sweep only the row sums are tested."""
+    after the first sweep only the row sums are tested.  A ValueError names
+    the largest gap of a grid still outside the tolerance after
+    _SINKHORN_SWEEPS sweeps."""
     out = np.clip(np.asarray(g, dtype=float), 0.0, None)
     grids = out.reshape(-1, *out.shape[-2:])
     k = out.shape[-1]
@@ -386,7 +395,7 @@ def project_uniform_marginals(g: np.ndarray, max_iter: int = 5000) -> np.ndarray
     busy = off(rows) | off(grids.sum(axis=-2))
     idx, rows = np.flatnonzero(busy), rows[busy]  # the grids still scaled
     act = grids[idx]
-    for _ in range(max_iter):
+    for _ in range(_SINKHORN_SWEEPS):
         if not idx.size:
             break
         act *= (k / np.maximum(rows, 1e-300))[:, :, None]
@@ -396,7 +405,10 @@ def project_uniform_marginals(g: np.ndarray, max_iter: int = 5000) -> np.ndarray
         if not busy.all():
             grids[idx[~busy]] = act[~busy]
             idx, rows, act = idx[busy], rows[busy], act[busy]
-    grids[idx] = act
+    if idx.size:
+        gap = np.abs(np.concatenate([rows, act.sum(axis=-2)], axis=-1) - k).max()
+        raise ValueError(f"Sinkhorn scaling left a marginal {gap:.3g} from {k} "
+                         f"after {_SINKHORN_SWEEPS} sweeps")
     return out
 
 
@@ -445,11 +457,13 @@ class _PermutonGeometry:
     """Grid permutons at resolution r for the AL driver of phases.optimizer:
     theta = g (flattened), a point is (g,).  Directions are Newton-CG
     (Nocedal & Wright 2006, sec. 7.1) on the grids with zero row and column
-    sums, which keep the marginals; a cell within 2 DENSITY_FLOOR of the floor
-    whose step points down is held, and step 1, each row's first trial, closes
-    at most _TO_BOUNDARY of any cell's distance to the floor.  So `project`
-    runs Sinkhorn scaling only where rounding has moved a row's marginals by
-    more than MARGINAL_TOL r, and finish runs the tight projection."""
+    sums, which keep the marginals exact up to rounding; a cell within 2
+    DENSITY_FLOOR of the floor whose step points down is held, and step 1,
+    each row's first trial, closes at most _TO_BOUNDARY of any cell's
+    distance to the floor.  So `project` is the floor clip, and Sinkhorn
+    scaling runs only at the ends of a solve: on the random starts, and in
+    `finish`, which measures the grids after projecting them, so every
+    reported gap is that of a grid with uniform marginals."""
 
     keys = ("g",)
     steps = (1.0,)
@@ -473,12 +487,7 @@ class _PermutonGeometry:
         return _perm_entropy(g)[0], gaps
 
     def project(self, theta):
-        (g,) = self.point(np.maximum(theta, DENSITY_FLOOR))
-        off = np.abs(np.concatenate([g.sum(axis=1), g.sum(axis=2)], axis=1) - self.res)
-        off = off.max(axis=1) > MARGINAL_TOL * self.res
-        if off.any():
-            g[off] = project_uniform_marginals(g[off])
-        return g.reshape(len(theta), -1)
+        return np.maximum(theta, DENSITY_FLOOR)
 
     def stationary(self, theta, grad):
         """Rows whose AL gradient's tangent part (double-centred) is below gtol."""
@@ -497,9 +506,6 @@ class _PermutonGeometry:
             gaps[:, j] = t - self.targets[j]
             grad = grad - (lam[:, j] + rho * gaps[:, j])[:, None, None] * dt
         return _al(h, gaps, lam, rho), gaps, grad.reshape(len(g), -1), h
-
-    def gain(self, grad, theta_0, theta):
-        return _dot(grad, theta - theta_0)
 
     def next_step(self, eta, dth, dgr):
         return np.ones_like(eta)
@@ -667,12 +673,7 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
     total = perms.shape[0]
     ok = np.ones(total, dtype=bool)
     for pattern, alpha in constraints:
-        k = pattern.k
-        if k > n:
-            raise ValueError(f"pattern length {k} exceeds n={n}")
-        cap = PLAIN_PATTERN_CAP if pattern.is_plain else STAR_PATTERN_CAP
-        if k > cap:
-            raise ValueError(f"pattern length {k} above cap {cap}")
+        k = _check_length(pattern, n)
         counts = np.zeros(total, dtype=np.int64)
         for combo in itertools.combinations(range(n), k):
             counts += _matches(perms[:, combo], pattern)

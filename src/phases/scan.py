@@ -13,19 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphon import (
-    DEFAULT_VERTEX_CAP,
-    ConstraintVector,
-    PatternTooLargeError,
-    StepGraphon,
-    SubgraphPattern,
-)
+from .graphon import ConstraintVector, StepGraphon, SubgraphPattern, _check_vertex_cap
 from .optimizer import OptimizerOptions, OptimizerResult, constrained_entropy
 from .svg import heatmap_svg
 
 RESOLUTION_CAP = 200
 PARAM_NAMES = ("a", "b", "d", "c_small")
 AXIS_LABELS = ("eps", "tau")  # CSV header and SVG axis labels
+SVG_FIELDS = ("entropy", "podality", "transition")  # what field_grid can draw
 SPIKE_FACTOR = 10.0
 
 
@@ -84,7 +79,9 @@ class PhaseMap:
         return len(self.y_values)
 
     def field_grid(self, name: str) -> list[list[float]]:
-        """values[iy][ix] for an SVG or CSV field."""
+        """values[iy][ix] for one of SVG_FIELDS."""
+        if name not in SVG_FIELDS:
+            raise ValueError(f"unknown scan field {name!r}")
         grid = []
         for iy in range(self.ny):
             row = []
@@ -94,10 +91,8 @@ class PhaseMap:
                     row.append(cell.entropy if cell.feasible else math.nan)
                 elif name == "podality":
                     row.append(float(cell.podality) if cell.feasible else math.nan)
-                elif name == "transition":
-                    row.append(float(self.transition[ix, iy]))
                 else:
-                    raise ValueError(f"unknown scan field {name!r}")
+                    row.append(float(self.transition[ix, iy]))
             grid.append(row)
         return grid
 
@@ -202,8 +197,7 @@ def phase_scan(
     # checked here, not per cell: _solve_cell reads a ValueError as a target
     # outside the domain
     for p in patterns:
-        if p.k > DEFAULT_VERTEX_CAP:
-            raise PatternTooLargeError(f"pattern has {p.k} vertices, cap is {DEFAULT_VERTEX_CAP}")
+        _check_vertex_cap(p)
     opts = opts or OptimizerOptions()
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)

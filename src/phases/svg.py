@@ -10,6 +10,7 @@ import math
 
 VIRIDIS_STOPS = ("#440154", "#3b528b", "#21918c", "#5ec962", "#fde725")
 NAN_COLOR = "#c8c8c8"
+CELL_PX = 12  # side of one grid cell
 
 
 def _hex_to_rgb(h: str) -> tuple[int, int, int]:
@@ -17,15 +18,15 @@ def _hex_to_rgb(h: str) -> tuple[int, int, int]:
     return int(h[0:2], 16), int(h[2:4], 16), int(h[4:6], 16)
 
 
-def ramp_color(t: float, stops: tuple[str, ...] = VIRIDIS_STOPS) -> str:
-    """Linear color at t in [0,1] along the ramp."""
+def ramp_color(t: float) -> str:
+    """Linear color at t in [0,1] along the VIRIDIS_STOPS ramp."""
     t = min(1.0, max(0.0, t))
-    n = len(stops) - 1
+    n = len(VIRIDIS_STOPS) - 1
     pos = t * n
     i = min(int(pos), n - 1)
     frac = pos - i
-    r0, g0, b0 = _hex_to_rgb(stops[i])
-    r1, g1, b1 = _hex_to_rgb(stops[i + 1])
+    r0, g0, b0 = _hex_to_rgb(VIRIDIS_STOPS[i])
+    r1, g1, b1 = _hex_to_rgb(VIRIDIS_STOPS[i + 1])
     return "#{:02x}{:02x}{:02x}".format(
         round(r0 + frac * (r1 - r0)),
         round(g0 + frac * (g1 - g0)),
@@ -33,16 +34,7 @@ def ramp_color(t: float, stops: tuple[str, ...] = VIRIDIS_STOPS) -> str:
     )
 
 
-def heatmap_svg(
-    values,
-    x_values,
-    y_values,
-    title: str,
-    x_label: str,
-    y_label: str,
-    cell_px: int = 12,
-    stops: tuple[str, ...] = VIRIDIS_STOPS,
-) -> str:
+def heatmap_svg(values, x_values, y_values, title: str, x_label: str, y_label: str) -> str:
     """Render values[iy][ix] as an SVG rect grid; y increases upward.
 
     NaN cells are drawn in gray.  Returns the SVG document as a string."""
@@ -53,8 +45,8 @@ def heatmap_svg(
     hi = max(finite) if finite else 1.0
     span = hi - lo if hi > lo else 1.0
     margin_l, margin_b, margin_t, margin_r = 70, 46, 34, 90
-    w = margin_l + nx * cell_px + margin_r
-    h = margin_t + ny * cell_px + margin_b
+    w = margin_l + nx * CELL_PX + margin_r
+    h = margin_t + ny * CELL_PX + margin_b
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -67,13 +59,13 @@ def heatmap_svg(
             if v != v or math.isinf(v):
                 color = NAN_COLOR
             else:
-                color = ramp_color((v - lo) / span, stops)
-            x = margin_l + ix * cell_px
-            y = margin_t + (ny - 1 - iy) * cell_px
+                color = ramp_color((v - lo) / span)
+            x = margin_l + ix * CELL_PX
+            y = margin_t + (ny - 1 - iy) * CELL_PX
             out.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{color}"/>'
+                f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" fill="{color}"/>'
             )
-    axis_y = margin_t + ny * cell_px
+    axis_y = margin_t + ny * CELL_PX
     out.append(
         f'<text x="{margin_l}" y="{axis_y + 16}" font-family="monospace" '
         f'font-size="11">{x_label}: {x_values[0]:.6g} .. {x_values[-1]:.6g}</text>'
@@ -91,11 +83,11 @@ def heatmap_svg(
         f'font-size="10">{y_values[0]:.6g}</text>'
     )
     # legend ramp
-    lx = margin_l + nx * cell_px + 16
+    lx = margin_l + nx * CELL_PX + 16
     steps = 24
-    lh = max(1, ny * cell_px // steps)
+    lh = max(1, ny * CELL_PX // steps)
     for s in range(steps):
-        color = ramp_color(1.0 - s / (steps - 1), stops)
+        color = ramp_color(1.0 - s / (steps - 1))
         out.append(
             f'<rect x="{lx}" y="{margin_t + s * lh}" width="14" height="{lh}" fill="{color}"/>'
         )

@@ -187,16 +187,25 @@ def random_grids(seed: int, batch: int, res: int, spread: float) -> np.ndarray:
     res=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     spread=st.floats(0.0, 6.0),
-    max_iter=st.sampled_from([1, 3, 400, 5000]),
     settled=st.integers(0, 8),
 )
-def test_batched_projection_matches_rows(batch, res, seed, spread, max_iter, settled):
+def test_batched_projection_matches_rows(batch, res, seed, spread, settled):
+    # a batch raises exactly when one of its grids alone does
+    def project(x):
+        try:
+            return project_uniform_marginals(x)
+        except ValueError:
+            return None
+
     g = random_grids(seed, batch, res, spread)
     g[:settled] = project_uniform_marginals(g[:settled])  # some rows start in tolerance
-    out = project_uniform_marginals(g, max_iter=max_iter)
-    assert out.shape == g.shape
-    for i in range(batch):
-        np.testing.assert_array_equal(out[i], project_uniform_marginals(g[i], max_iter=max_iter))
+    out = project(g)
+    alone = [project(g[i]) for i in range(batch)]
+    assert (out is None) == any(a is None for a in alone)
+    if out is not None:
+        assert out.shape == g.shape
+        for i in range(batch):
+            np.testing.assert_array_equal(out[i], alone[i])
 
 
 def chain_tensor(k: int, res: int) -> np.ndarray:

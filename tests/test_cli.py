@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from phases import scan
-from phases.cli import main
-from phases.graphon import StepGraphon
+from phases.cli import _DEFAULTS, build_parser, main
+from phases.graphon import DEFAULT_VERTEX_CAP, StepGraphon, SubgraphPattern
+from phases.optimizer import OptimizerOptions
+from phases.permuton import GridPermuton, PermutonOptimizerOptions
 from phases.serialize import load_finite_graph, load_step_graphon
 
 
@@ -354,3 +356,119 @@ def test_scan_defaults_warm_start_from_both_neighbours(tmp_path, monkeypatch, ca
     for ix, x in enumerate(xs):
         for iy, y in enumerate(ys):
             assert seeds[(float(x), float(y))] == (ix > 0) + (iy > 0)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    build_parser()  # fills _DEFAULTS
+    lib, perm = OptimizerOptions(), PermutonOptimizerOptions()
+    assert _DEFAULTS[("optimize", "starts")] == lib.n_starts
+    assert _DEFAULTS[("optimize", "m_max")] == lib.m_max
+    assert _DEFAULTS[("optimize", "tol")] == _DEFAULTS[("scan", "tol")] == lib.feasibility_tol
+    assert _DEFAULTS[("optimize", "seed")] == lib.seed == perm.seed
+    assert (_DEFAULTS[("scan", "starts")], _DEFAULTS[("scan", "m_max")]) == (6, 3)
+    assert _DEFAULTS[("perm-optimize", "starts")] == perm.n_starts
+    assert _DEFAULTS[("density", "vertex_cap")] == DEFAULT_VERTEX_CAP
+    assert _DEFAULTS[("scan", "spike_factor")] == scan.SPIKE_FACTOR
+    assert _DEFAULTS[("scan", "svg_field")] in scan.SVG_FIELDS
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_svg_field_is_refused_before_any_cell(tmp_path, monkeypatch, capsys, source):
+    # it was refused only after every cell was solved and the CSV written
+    solved = []
+    monkeypatch.setattr(scan, "constrained_entropy", lambda *a, **k: solved.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"svg_field": "entrpy"}))
+    field = ["--svg-field", "entrpy"] if source == "flag" else ["--config", str(cfg)]
+    csv_path = tmp_path / "late.csv"
+    assert run(tmp_path, "scan", "--grid", "3x3", "--out", str(csv_path),
+               "--svg", str(tmp_path / "late.svg"), *field) == 1
+    assert "unknown --svg-field 'entrpy'" in capsys.readouterr().err
+    assert solved == [] and not csv_path.exists()
+
+
+@pytest.mark.parametrize("chains", ["0", "-2"])
+def test_chains_below_one_is_a_usage_error(tmp_path, capsys, chains):
+    # 0 ran nothing and exited 0; -2 died in numpy
+    out_dir = tmp_path / "chains"
+    assert run(tmp_path, "sample", "--n", "12", "--eps", "0.5", "--tau", "0.125",
+               "--chains", chains, "--out-dir", str(out_dir)) == 1
+    assert f"--chains must be at least 1, got {chains}" in capsys.readouterr().err
+    assert os.listdir(out_dir) == ["manifest.json"]  # no samples.csv
+
+
+@pytest.mark.parametrize("field", ["podality", "transition"])
+def test_scan_draws_each_svg_field(tmp_path, capsys, field):
+    svg = tmp_path / "s.svg"
+    assert run(tmp_path, "scan", "--grid", "2x1", *SCAN_TILE, "--svg", str(svg),
+               "--svg-field", field) == 0
+    text = svg.read_text()
+    assert text.startswith("<svg") and f"edge-triangle: {field}</text>" in text
+    assert text.count("<rect") == 1 + 2 + 24  # background, the cells, the legend
+
+
+CONSTRAINTS = [{"pattern": "edge", "target": 0.5},
+               {"pattern": SubgraphPattern.triangle().to_dict(), "target": 0.125}]
+
+
+@pytest.mark.parametrize("sub, args", [
+    ("optimize", ["--starts", "4", "--m-max", "2"]),
+    ("enumerate", ["--n", "5", "--delta", "0.2"]),
+    ("sample", ["--n", "12", "--delta", "0.05", "--samples", "2", "--burn-in", "100",
+                "--interval", "50", "--out-dir", "chains"]),
+])
+def test_constraints_file_reads_as_the_flags(tmp_path, capsys, sub, args):
+    # one pattern by name and one as a pattern dict give what --eps/--tau give
+    path = tmp_path / "cons.json"
+    path.write_text(json.dumps(CONSTRAINTS))
+    written = {}
+    for how, flags in (("file", ["--constraints", str(path)]),
+                       ("flags", ["--eps", "0.5", "--tau", "0.125"])):
+        assert run(tmp_path, sub, *args, *flags, "--out", str(tmp_path / how)) == 0
+        written[how] = (tmp_path / how).read_bytes()
+        if sub == "sample":
+            written[how] += (tmp_path / "chains" / "samples.csv").read_bytes()
+    assert written["file"] == written["flags"]
+    if sub == "optimize":
+        assert json.loads(written["file"])["feasible"]
+
+
+@pytest.mark.parametrize("entry", [{"pattern": "edge"}, "pattern target"])
+def test_constraints_entry_without_target_is_refused(tmp_path, capsys, entry):
+    # a string entry died with a TypeError traceback
+    path = tmp_path / "cons.json"
+    path.write_text(json.dumps([entry]))
+    assert run(tmp_path, "optimize", "--constraints", str(path)) == 1
+    err = capsys.readouterr().err
+    assert "cons.json" in err and "[0]" in err and "needs pattern and target" in err
+
+
+@pytest.mark.parametrize("method, tol", [("exact", 1e-12), ("montecarlo", 0.01)])
+def test_perm_density_of_a_permuton_file(tmp_path, capsys, method, tol):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(GridPermuton.uniform(4).to_dict()))
+    assert run(tmp_path, "perm-density", "--permuton", str(path), "--pattern", "12",
+               "--method", method, "--samples", "20000") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == method and doc["pattern"] == "12"
+    assert doc["density"] == pytest.approx(0.5, abs=tol)
+
+
+def test_toml_config_reads_as_the_flags(tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text('eps = 0.45\ntau = 0.08\nstarts = 5\nm_max = 2\n')
+    assert run(tmp_path, "optimize", "--config", str(cfg), "--out", str(tmp_path / "t.json")) == 0
+    assert run(tmp_path, "optimize", "--eps", "0.45", "--tau", "0.08", "--starts", "5",
+               "--m-max", "2", "--out", str(tmp_path / "f.json")) == 0
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "f.json").read_bytes()
+
+
+def test_sample_whose_repair_fails_exits_2_with_the_chain_error(tmp_path, capsys):
+    out, out_dir = tmp_path / "s.json", tmp_path / "chains"
+    assert run(tmp_path, "sample", "--n", "12", "--eps", "0.5", "--tau", "0.9",
+               "--delta", "0.01", "--out-dir", str(out_dir), "--out", str(out)) == 2
+    (chain,) = json.loads(out.read_text())["chains"]
+    assert chain["chain"] == 0
+    assert chain["error"].startswith("greedy repair failed to reach the constraint windows")
+    assert (out_dir / "samples.csv").read_text() == "chain,sample,step,density_0,density_1\n"

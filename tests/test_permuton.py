@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from phases.permuton import (
     Permutation,
     PermutonOptimizerOptions,
     StarPattern,
+    _SINKHORN_SWEEPS,
     _all_perms,
     _matches,
     _perm_entropy,
@@ -195,6 +197,23 @@ class TestMarginals:
     def test_permutation_grid_unchanged(self):
         g = perm_to_permuton(Permutation((3, 1, 2))).g
         assert np.array_equal(project_uniform_marginals(g), g)
+
+    def test_scaling_that_does_not_converge_is_refused(self):
+        # log cells spread over [-30, 30]: 132 of seeds 0-199 stay off
+        # after the sweep cap; each grid either raises with its gap or ends
+        # in the tolerance that GridPermuton checks
+        refused = 0
+        for seed in range(22):
+            res = 2 + seed % 11
+            g = np.exp(np.random.default_rng(seed).uniform(-30.0, 30.0, (res, res)))
+            try:
+                GridPermuton(project_uniform_marginals(g))
+            except ValueError as exc:
+                gap = re.fullmatch(rf"Sinkhorn scaling left a marginal (\S+) from {res} "
+                                   rf"after {_SINKHORN_SWEEPS} sweeps", str(exc))
+                assert gap and float(gap[1]) > MARGINAL_TOL * res
+                refused += 1
+        assert 0 < refused < 22
 
     def test_matrix_convention(self):
         assert perm_to_permuton(Permutation((1, 2))).g.tolist() == [[2.0, 0.0], [0.0, 2.0]]

@@ -46,15 +46,29 @@ def names_read(tree: ast.Module) -> set[str]:
     return out
 
 
+def attributes_read(tree: ast.Module) -> set[str]:
+    """The attribute names and whole strings of a module: how a method is
+    reached, so that a local variable of the same name does not count."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def test_every_definition_is_used():
-    """A module-level function or class of the package that no module of
-    the package or of the tests names is dead code."""
+    """A module-level function or class of the package, or a method of one
+    of its classes (dunders aside), that no module of the package or of the
+    tests names is dead code."""
     package = pathlib.Path(phases.__file__).parent
     trees = {p: ast.parse(p.read_text()) for p in [*package.glob("*.py"),
                                                    *pathlib.Path(__file__).parent.glob("*.py")]}
     named = set().union(*map(names_read, trees.values()))
+    attributes = set().union(*map(attributes_read, trees.values()))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = [f"{p.name}:{n.name}" for p, tree in trees.items() if p.parent == package
               for n in tree.body
-              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and n.name not in named]
+              if isinstance(n, (*functions, ast.ClassDef)) and n.name not in named]
+    unused += [f"{p.name}:{c.name}.{f.name}" for p, tree in trees.items() if p.parent == package
+               for c in tree.body if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, functions) and not f.name.startswith("__")
+               and f.name not in attributes]
     assert unused == []
