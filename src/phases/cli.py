@@ -3,8 +3,11 @@
 Subcommands: density, entropy, optimize, scan, reference, sample, enumerate,
 perm-density, perm-optimize, perm-count, cut-distance.  Exit codes: 0 on
 success, 2 when an optimization or sampling target is infeasible, 1 on
-usage/config errors.  Every run writes a manifest echoing the resolved
-options; a manifest can be fed back via --config to reproduce a run.
+usage/config errors.  A --config file (JSON, TOML or a previous manifest) is
+read as flags right after the subcommand, so argparse checks its values like
+typed flags and the command line's own flags win.  Only a run that passes the
+parser's checks writes a manifest of its options; a manifest fed back through
+--config reproduces its run.
 """
 
 from __future__ import annotations
@@ -62,22 +65,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS: dict[tuple[str, str], object] = {}
-# options a run needs, by (subcommand, dest); a --config file may supply them,
-# so they are checked after the merge, not by argparse
-_REQUIRED: dict[tuple[str, str], str] = {}
-
-
-def _opt(parser, sub: str, *names, default=None, **kwargs):
-    action = parser.add_argument(*names, default=None, **kwargs)
-    _DEFAULTS[(sub, action.dest)] = default
-    return action
-
-
-def _required(parser, sub: str, name: str, **kwargs):
-    action = parser.add_argument(name, **kwargs)
-    _REQUIRED[(sub, action.dest)] = name
-    return action
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -101,42 +93,52 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _resolve(ns: argparse.Namespace, sub: str) -> dict:
-    opts = vars(ns).copy()
-    opts.pop("func", None)
-    config_path = opts.pop("config", None)
-    if config_path:
-        config = _load_config(config_path)
-        if not isinstance(config, dict):
-            raise UsageError(f"config {config_path} must hold a table/object")
-        valid = set(opts)
-        unknown = [k for k in config if k not in valid]
-        if unknown:
-            raise UsageError(
-                f"config {config_path} has unknown keys: {', '.join(sorted(unknown))}"
-            )
-        for k, v in config.items():
-            if opts.get(k) is None:
-                opts[k] = v
-    missing = [
-        name for (owner, dest), name in _REQUIRED.items()
-        if owner == sub and opts.get(dest) is None
-    ]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    for key, val in list(opts.items()):
-        if val is None and (sub, key) in _DEFAULTS:
-            opts[key] = _DEFAULTS[(sub, key)]
-    return opts
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with its --config file's entries as flags placed right after
+    the subcommand, so the command line's own flags win; a repeatable flag
+    keeps the config's list only when the command line does not give it."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    # the top-level parser has no valued flags: its first positional is the subcommand
+    name = next((arg for arg in argv if not arg.startswith("-")), None)
+    if not path or name not in parser.subcommands:
+        return parser.parse_args(argv)
+    config = _load_config(path)
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must hold a table/object")
+    actions = {a.dest: a for a in parser.subcommands[name]._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions) - {"subcommand"})
+    if unknown:
+        raise UsageError(f"config {path} has unknown keys: {', '.join(unknown)}")
+    flags, lists = [], {}
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None or value is None:  # "subcommand" (argv names it) or an unset option
+            continue
+        flag = action.option_strings[0]
+        if isinstance(action, argparse._AppendAction):
+            lists[key] = [str(v) for v in (value if isinstance(value, list) else [value])]
+        elif action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value:  # a store_true flag
+            flags.append(flag)
+    at = argv.index(name) + 1
+    ns = parser.parse_args(argv[:at] + flags + argv[at:])
+    for key, items in lists.items():
+        if getattr(ns, key) is None:
+            setattr(ns, key, items)
+    return ns
 
 
 def _write_manifest(sub: str, opts: dict) -> None:
     path = opts.get("manifest")
     if not path:
         if opts.get("out"):
-            path = str(opts["out"]) + ".manifest.json"
+            path = opts["out"] + ".manifest.json"
         elif opts.get("out_dir"):
-            path = os.path.join(str(opts["out_dir"]), "manifest.json")
+            path = os.path.join(opts["out_dir"], "manifest.json")
         else:
             path = "phases-manifest.json"
     doc = {
@@ -159,15 +161,15 @@ def _emit(doc, out: str | None) -> None:
 
 def _optimizer_options(opts: dict) -> OptimizerOptions:
     return OptimizerOptions(
-        n_starts=int(opts["starts"]),
-        seed=int(opts["seed"]),
-        m_max=int(opts["m_max"]),
-        feasibility_tol=float(opts["tol"]),
+        n_starts=opts["starts"],
+        seed=opts["seed"],
+        m_max=opts["m_max"],
+        feasibility_tol=opts["tol"],
     )
 
 
 def _constraints_from_opts(opts: dict) -> ConstraintVector:
-    delta = float(opts.get("delta") or 0.0)
+    delta = opts.get("delta", 0.0)
     if opts.get("constraints"):
         path = opts["constraints"]
         with open(path) as fh:
@@ -188,9 +190,7 @@ def _constraints_from_opts(opts: dict) -> ConstraintVector:
     if eps is None or tau is None:
         raise UsageError("need --eps and --tau (or --constraints FILE)")
     p2 = _model_patterns(opts["model"])[1]
-    return ConstraintVector(
-        ((SubgraphPattern.edge(), float(eps)), (p2, float(tau))), delta
-    )
+    return ConstraintVector(((SubgraphPattern.edge(), eps), (p2, tau)), delta)
 
 
 def _model_patterns(model: str) -> tuple[SubgraphPattern, SubgraphPattern]:
@@ -207,7 +207,7 @@ def _model_patterns(model: str) -> tuple[SubgraphPattern, SubgraphPattern]:
 def _cmd_density(opts):
     q = load_step_graphon(opts["graphon"])
     pat = load_pattern(opts["pattern"])
-    val = subgraph_density(q, pat, vertex_cap=int(opts["vertex_cap"]))
+    val = subgraph_density(q, pat, vertex_cap=opts["vertex_cap"])
     _emit({"density": val, "pattern": pat.to_dict()}, opts["out"])
     return 0
 
@@ -220,43 +220,38 @@ def _cmd_entropy(opts):
 
 def _cmd_optimize(opts):
     oo = _optimizer_options(opts)
-    m = opts.get("m")
+    m = opts["m"]
     if opts.get("signed_objective"):
         res = bounded_signed_max(
             load_pattern(opts["signed_objective"]),
             load_pattern(opts["signed_zero"]),
-            2 if m is None else int(m),
+            2 if m is None else m,
             oo,
         )
         _emit(res.to_dict(), opts["out"])
         return 0 if res.feasible else 2
     cons = _constraints_from_opts(opts)
-    if m is not None:
-        res = maximize_entropy(cons, int(m), oo)
-    else:
-        res = constrained_entropy(cons, oo)
+    res = constrained_entropy(cons, oo) if m is None else maximize_entropy(cons, m, oo)
     _emit(res.to_dict(), opts["out"])
     return 0 if res.feasible else 2
 
 
 def _cmd_reference(opts):
-    q = reference_construction(float(opts["eps"]), float(opts["tau"]))
+    q = reference_construction(opts["eps"], opts["tau"])
     _emit(q.to_dict(), opts["out"])
     return 0
 
 
 def _cmd_scan(opts):
-    if opts["svg_field"] not in SVG_FIELDS:
-        raise UsageError(f"unknown --svg-field {opts['svg_field']!r} ({' | '.join(SVG_FIELDS)})")
-    nx, ny = (int(t) for t in str(opts["grid"]).lower().split("x"))
+    nx, ny = (int(t) for t in opts["grid"].lower().split("x"))
     pats = _model_patterns(opts["model"])
     pm = phase_scan(
         pats,
-        (float(opts["eps_min"]), float(opts["eps_max"])),
-        (float(opts["tau_min"]), float(opts["tau_max"])),
+        (opts["eps_min"], opts["eps_max"]),
+        (opts["tau_min"], opts["tau_max"]),
         (nx, ny),
         _optimizer_options(opts),
-        spike_factor=float(opts["spike_factor"]),
+        spike_factor=opts["spike_factor"],
         model=opts["model"],
     )
     if opts["out"]:
@@ -283,24 +278,21 @@ def _cmd_sample(opts):
     cons = _constraints_from_opts(opts)
     if cons.delta <= 0:
         raise UsageError("sampling needs --delta > 0")
-    chains = int(opts["chains"])
-    if chains < 1:
-        raise UsageError(f"--chains must be at least 1, got {chains}")
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     # one RNG stream per chain: seeds split from the base seed
-    seeds = np.random.SeedSequence(int(opts["seed"])).generate_state(chains)
+    seeds = np.random.SeedSequence(opts["seed"]).generate_state(opts["chains"])
     summaries = []
     rows = []
     any_infeasible = False
-    for ci in range(chains):
+    for ci in range(opts["chains"]):
         cfg = ChainConfig(
-            n=int(opts["n"]),
+            n=opts["n"],
             constraints=cons,
             seed=int(seeds[ci]),
-            burn_in=int(opts["burn_in"]) if opts.get("burn_in") is not None else None,
-            sample_interval=int(opts["interval"]) if opts.get("interval") is not None else None,
-            n_samples=int(opts["samples"]),
+            burn_in=opts["burn_in"],
+            sample_interval=opts["interval"],
+            n_samples=opts["samples"],
         )
         try:
             run = sample_constrained(cfg)
@@ -336,7 +328,7 @@ def _cmd_sample(opts):
 
 def _cmd_enumerate(opts):
     cons = _constraints_from_opts(opts)
-    rep = enumerate_Z(int(opts["n"]), cons)
+    rep = enumerate_Z(opts["n"], cons)
     if opts["histogram"]:
         with open(opts["histogram"], "w") as fh:
             fh.write("edge_count,triangle_count,count\n")
@@ -351,7 +343,7 @@ def _cmd_enumerate(opts):
 
 def _cmd_perm_density(opts):
     pat = StarPattern.parse(opts["pattern"])
-    if opts.get("perm"):
+    if opts["perm"]:
         pi = load_permutation(opts["perm"])
         val = perm_pattern_density(pi, pat)
         doc = {
@@ -359,18 +351,11 @@ def _cmd_perm_density(opts):
             "exact": [val.numerator, val.denominator],
             "pattern": str(pat),
         }
-    elif opts.get("permuton"):
-        gamma = load_grid_permuton(opts["permuton"])
-        val = permuton_pattern_density(
-            gamma,
-            pat,
-            method=opts["method"],
-            samples=int(opts["samples"]),
-            seed=int(opts["seed"]),
-        )
-        doc = {"density": val, "pattern": str(pat), "method": opts["method"]}
     else:
-        raise UsageError("need --perm FILE or --permuton FILE")
+        gamma = load_grid_permuton(opts["permuton"])
+        val = permuton_pattern_density(gamma, pat, method=opts["method"],
+                                       samples=opts["samples"], seed=opts["seed"])
+        doc = {"density": val, "pattern": str(pat), "method": opts["method"]}
     _emit(doc, opts["out"])
     return 0
 
@@ -386,8 +371,8 @@ def _cmd_perm_optimize(opts):
         raise UsageError("need at least one --constraint PATTERN=TARGET")
     res = maximize_permuton_entropy(
         terms,
-        int(opts["resolution"]),
-        PermutonOptimizerOptions(n_starts=int(opts["starts"]), seed=int(opts["seed"])),
+        opts["resolution"],
+        PermutonOptimizerOptions(n_starts=opts["starts"], seed=opts["seed"]),
     )
     _emit(res.to_dict(), opts["out"])
     return 0 if res.feasible else 2
@@ -395,9 +380,9 @@ def _cmd_perm_optimize(opts):
 
 def _cmd_perm_count(opts):
     rep = count_constrained_perms(
-        int(opts["n"]),
-        [(StarPattern.parse(opts["pattern"]), float(opts["alpha"]))],
-        float(opts["delta"]),
+        opts["n"],
+        [(StarPattern.parse(opts["pattern"]), opts["alpha"])],
+        opts["delta"],
     )
     _emit(rep.to_dict(), opts["out"])
     return 0
@@ -408,7 +393,7 @@ def _cmd_cut_distance(opts):
     q2 = load_step_graphon(opts["b"])
     doc = {"cut_distance_upper": cut_distance_upper(q1, q2)}
     if opts["dbar"]:
-        doc["dbar"] = dbar_distance(q1, q2, int(opts["max_order"])).to_dict()
+        doc["dbar"] = dbar_distance(q1, q2, opts["max_order"]).to_dict()
     _emit(doc, opts["out"])
     return 0
 
@@ -416,140 +401,139 @@ def _cmd_cut_distance(opts):
 # -- wiring ------------------------------------------------------------------
 
 
-def _common(parser, sub):
-    _opt(parser, sub, "--out", help="primary output file (default: stdout)")
-    _opt(parser, sub, "--manifest", help="manifest path (default: derived)")
-    _opt(parser, sub, "--config", help="JSON/TOML config or a previous manifest")
-    _opt(parser, sub, "--seed", type=int, default=0)
-    _opt(parser, sub, "--threads", type=int, default=1,
-         help="recorded in the manifest only; every run is serial")
+def _common(parser):
+    parser.add_argument("--out", help="primary output file (default: stdout)")
+    parser.add_argument("--manifest", help="manifest path (default: derived)")
+    parser.add_argument("--config", help="JSON/TOML config or a previous manifest")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest only; every run is serial")
 
 
-def _optimizer_flags(parser, sub, starts=OptimizerOptions.n_starts, m_max=OptimizerOptions.m_max):
-    _opt(parser, sub, "--starts", type=int, default=starts, help="multistart count")
-    _opt(parser, sub, "--m-max", dest="m_max", type=int, default=m_max)
-    _opt(parser, sub, "--tol", type=float, default=OptimizerOptions.feasibility_tol,
-         help="feasibility tolerance")
+def _optimizer_flags(parser, starts=OptimizerOptions.n_starts, m_max=OptimizerOptions.m_max):
+    parser.add_argument("--starts", type=int, default=starts, help="multistart count")
+    parser.add_argument("--m-max", dest="m_max", type=int, default=m_max)
+    parser.add_argument("--tol", type=float, default=OptimizerOptions.feasibility_tol,
+                        help="feasibility tolerance")
 
 
-def _target_flags(parser, sub):
-    _opt(parser, sub, "--model", default="edge-triangle")
-    _opt(parser, sub, "--eps", type=float)
-    _opt(parser, sub, "--tau", type=float)
-    _opt(parser, sub, "--constraints", help="JSON constraint list file")
+def _target_flags(parser):
+    parser.add_argument("--model", default="edge-triangle")
+    parser.add_argument("--eps", type=float)
+    parser.add_argument("--tau", type=float)
+    parser.add_argument("--constraints", help="JSON constraint list file")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="phases", description=__doc__)
     parser.add_argument("--version", action="version", version=f"phases {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = subs.choices
 
     p = subs.add_parser("density", help="pattern density of a step graphon")
-    _required(p, "density", "--graphon")
-    _required(p, "density", "--pattern")
-    _opt(p, "density", "--vertex-cap", dest="vertex_cap", type=int, default=DEFAULT_VERTEX_CAP)
-    _common(p, "density")
+    p.add_argument("--graphon", required=True)
+    p.add_argument("--pattern", required=True)
+    p.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=DEFAULT_VERTEX_CAP)
+    _common(p)
     p.set_defaults(func=_cmd_density)
 
     p = subs.add_parser("entropy", help="Shannon entropy of a step graphon")
-    _required(p, "entropy", "--graphon")
-    _common(p, "entropy")
+    p.add_argument("--graphon", required=True)
+    _common(p)
     p.set_defaults(func=_cmd_entropy)
 
     p = subs.add_parser("optimize", help="constrained entropy maximization")
-    _target_flags(p, "optimize")
-    _opt(p, "optimize", "--m", type=int, help="fix the ansatz size (else escalate)")
-    _opt(p, "optimize", "--signed-objective", dest="signed_objective",
-         help="maximize this signed density instead of entropy")
-    _opt(p, "optimize", "--signed-zero", dest="signed_zero", default="t2",
-         help="signed density pinned to zero (with --signed-objective)")
-    _optimizer_flags(p, "optimize")
-    _common(p, "optimize")
+    _target_flags(p)
+    p.add_argument("--m", type=int, help="fix the ansatz size (else escalate)")
+    p.add_argument("--signed-objective", dest="signed_objective",
+                   help="maximize this signed density instead of entropy")
+    p.add_argument("--signed-zero", dest="signed_zero", default="t2",
+                   help="signed density pinned to zero (with --signed-objective)")
+    _optimizer_flags(p)
+    _common(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("reference", help="closed-form edge/triangle construction")
-    _required(p, "reference", "--eps", type=float)
-    _required(p, "reference", "--tau", type=float)
-    _common(p, "reference")
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--tau", type=float, required=True)
+    _common(p)
     p.set_defaults(func=_cmd_reference)
 
     p = subs.add_parser("scan", help="phase-space grid scan")
-    _opt(p, "scan", "--model", default="edge-triangle")
-    _opt(p, "scan", "--grid", default="20x20", help="NXxNY cells")
-    _opt(p, "scan", "--eps-min", dest="eps_min", type=float, default=0.2)
-    _opt(p, "scan", "--eps-max", dest="eps_max", type=float, default=0.5)
-    _opt(p, "scan", "--tau-min", dest="tau_min", type=float, default=0.0)
-    _opt(p, "scan", "--tau-max", dest="tau_max", type=float, default=0.2)
-    _opt(p, "scan", "--svg", help="SVG heatmap output path")
-    _opt(p, "scan", "--svg-field", dest="svg_field", default="entropy",
-         help=" | ".join(SVG_FIELDS))
-    _opt(p, "scan", "--spike-factor", dest="spike_factor", type=float, default=SPIKE_FACTOR)
-    _optimizer_flags(p, "scan", starts=6, m_max=3)
-    _common(p, "scan")
+    p.add_argument("--model", default="edge-triangle")
+    p.add_argument("--grid", default="20x20", help="NXxNY cells")
+    p.add_argument("--eps-min", dest="eps_min", type=float, default=0.2)
+    p.add_argument("--eps-max", dest="eps_max", type=float, default=0.5)
+    p.add_argument("--tau-min", dest="tau_min", type=float, default=0.0)
+    p.add_argument("--tau-max", dest="tau_max", type=float, default=0.2)
+    p.add_argument("--svg", help="SVG heatmap output path")
+    p.add_argument("--svg-field", dest="svg_field", default="entropy", choices=SVG_FIELDS)
+    p.add_argument("--spike-factor", dest="spike_factor", type=float, default=SPIKE_FACTOR)
+    _optimizer_flags(p, starts=6, m_max=3)
+    _common(p)
     p.set_defaults(func=_cmd_scan)
 
     p = subs.add_parser("sample", help="microcanonical MCMC over finite graphs")
-    _required(p, "sample", "--n", type=int)
-    _required(p, "sample", "--out-dir", dest="out_dir")
-    _target_flags(p, "sample")
-    _opt(p, "sample", "--delta", type=float, default=0.01)
-    _opt(p, "sample", "--samples", type=int, default=10)
-    _opt(p, "sample", "--burn-in", dest="burn_in", type=int)
-    _opt(p, "sample", "--interval", type=int)
-    _opt(p, "sample", "--chains", type=int, default=1)
-    _common(p, "sample")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out-dir", dest="out_dir", required=True)
+    _target_flags(p)
+    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--burn-in", dest="burn_in", type=int)
+    p.add_argument("--interval", type=int)
+    p.add_argument("--chains", type=positive_int, default=1)
+    _common(p)
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("enumerate", help="exact count of constrained graphs")
-    _required(p, "enumerate", "--n", type=int)
-    _target_flags(p, "enumerate")
-    _opt(p, "enumerate", "--delta", type=float, default=0.05)
-    _opt(p, "enumerate", "--histogram", help="write the edge/triangle histogram CSV")
-    _opt(p, "enumerate", "--full-histogram", dest="full_histogram",
-         action="store_true", default=False)
-    _common(p, "enumerate")
+    p.add_argument("--n", type=int, required=True)
+    _target_flags(p)
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--histogram", help="write the edge/triangle histogram CSV")
+    p.add_argument("--full-histogram", dest="full_histogram", action="store_true")
+    _common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("perm-density", help="pattern density in a permutation or permuton")
-    _opt(p, "perm-density", "--perm", help="permutation file (one-line values)")
-    _opt(p, "perm-density", "--permuton", help="grid permuton JSON file")
-    _required(p, "perm-density", "--pattern", help='e.g. "12", "123", "*2*"')
-    _opt(p, "perm-density", "--method", default="exact")
-    _opt(p, "perm-density", "--samples", type=int, default=200000)
-    _common(p, "perm-density")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--perm", help="permutation file (one-line values)")
+    source.add_argument("--permuton", help="grid permuton JSON file")
+    p.add_argument("--pattern", required=True, help='e.g. "12", "123", "*2*"')
+    p.add_argument("--method", default="exact")
+    p.add_argument("--samples", type=int, default=200000)
+    _common(p)
     p.set_defaults(func=_cmd_perm_density)
 
     p = subs.add_parser("perm-optimize", help="constrained permuton entropy maximization")
     p.add_argument("--constraint", action="append", help="PATTERN=TARGET (repeatable)")
-    _opt(p, "perm-optimize", "--resolution", type=int, default=20)
-    _opt(p, "perm-optimize", "--starts", type=int, default=PermutonOptimizerOptions.n_starts)
-    _common(p, "perm-optimize")
+    p.add_argument("--resolution", type=int, default=20)
+    p.add_argument("--starts", type=int, default=PermutonOptimizerOptions.n_starts)
+    _common(p)
     p.set_defaults(func=_cmd_perm_optimize)
 
     p = subs.add_parser("perm-count", help="exact count of constrained permutations")
-    _required(p, "perm-count", "--n", type=int)
-    _required(p, "perm-count", "--pattern")
-    _required(p, "perm-count", "--alpha", type=float)
-    _opt(p, "perm-count", "--delta", type=float, default=0.1)
-    _common(p, "perm-count")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--pattern", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--delta", type=float, default=0.1)
+    _common(p)
     p.set_defaults(func=_cmd_perm_count)
 
     p = subs.add_parser("cut-distance", help="distances between step graphons")
-    _required(p, "cut-distance", "--a", help="first graphon JSON")
-    _required(p, "cut-distance", "--b", help="second graphon JSON")
-    _opt(p, "cut-distance", "--dbar", action="store_true", default=False)
-    _opt(p, "cut-distance", "--max-order", dest="max_order", type=int, default=5)
-    _common(p, "cut-distance")
+    p.add_argument("--a", required=True, help="first graphon JSON")
+    p.add_argument("--b", required=True, help="second graphon JSON")
+    p.add_argument("--dbar", action="store_true")
+    p.add_argument("--max-order", dest="max_order", type=int, default=5)
+    _common(p)
     p.set_defaults(func=_cmd_cut_distance)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        opts = _resolve(ns, ns.subcommand)
+        ns = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
+        opts = {k: v for k, v in vars(ns).items() if k not in ("func", "config")}
         _write_manifest(ns.subcommand, opts)
         return ns.func(opts)
     except UsageError as exc:

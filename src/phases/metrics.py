@@ -104,8 +104,6 @@ def cut_distance_upper(q1: StepGraphon, q2: StepGraphon) -> float:
 
 
 def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    if n == 1:
-        return True
     adj = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)

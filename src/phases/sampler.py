@@ -131,6 +131,12 @@ def _count_denominator(pattern: SubgraphPattern, n: int) -> int:
     return _falling(n, pattern.k)
 
 
+def _check_all_present(pattern: SubgraphPattern) -> None:
+    # finite-graph densities are defined for all-present patterns only (graphon.finite_density)
+    if not pattern.is_all_present:
+        raise ValueError("sampling and enumeration constraints must be all-present patterns")
+
+
 class _DensityTracker:
     """Counts of the constraint patterns, updated per edge toggle; a pattern's
     density is its count over `denoms`, and window membership is decided on
@@ -155,6 +161,7 @@ class _DensityTracker:
                         "incremental updates support edge/triangle/k-star "
                         f"patterns; generic patterns need n <= {GENERIC_N_CAP}"
                     )
+                _check_all_present(pat)
                 kind = "generic"
             self.kinds.append((kind, r))
         self.patterns = constraints.patterns
@@ -563,8 +570,7 @@ def enumerate_Z(n: int, constraints: ConstraintVector) -> EnumerationReport:
             aux = (sum(_falling(d, r) for d in low_degrees),
                    [r * _falling(d, r - 1) for d in low_degrees])
         elif kind not in _COUNTED:
-            if not pat.is_all_present:
-                raise ValueError("enumeration constraints must be all-present patterns")
+            _check_all_present(pat)
             # placement counts of every low graph, keyed by the pairs at the
             # last vertex that the placements need
             kind, aux = "generic", {}

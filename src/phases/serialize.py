@@ -50,7 +50,7 @@ def load_step_graphon(path: str) -> StepGraphon:
         if key not in doc:
             raise FileFormatError(path, key, "missing")
     try:
-        return StepGraphon(doc["masses"], doc["values"])
+        return StepGraphon.from_dict(doc)
     except (ValueError, TypeError) as exc:
         raise FileFormatError(path, "masses/values", str(exc)) from exc
 

@@ -1,16 +1,19 @@
 import json
 import math
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from phases import scan
-from phases.cli import _DEFAULTS, build_parser, main
+from phases import cli, scan
+from phases.cli import build_parser, main
 from phases.graphon import DEFAULT_VERTEX_CAP, StepGraphon, SubgraphPattern
 from phases.optimizer import OptimizerOptions
 from phases.permuton import GridPermuton, PermutonOptimizerOptions
 from phases.serialize import load_finite_graph, load_step_graphon
+from phases.svg import NAN_COLOR
 
 
 def run(tmp_path, *args) -> int:
@@ -359,17 +362,21 @@ def test_scan_defaults_warm_start_from_both_neighbours(tmp_path, monkeypatch, ca
 
 
 def test_cli_defaults_are_the_library_defaults():
-    build_parser()  # fills _DEFAULTS
+    subs = build_parser().subcommands
+
+    def default(sub, dest):
+        return subs[sub].get_default(dest)
+
     lib, perm = OptimizerOptions(), PermutonOptimizerOptions()
-    assert _DEFAULTS[("optimize", "starts")] == lib.n_starts
-    assert _DEFAULTS[("optimize", "m_max")] == lib.m_max
-    assert _DEFAULTS[("optimize", "tol")] == _DEFAULTS[("scan", "tol")] == lib.feasibility_tol
-    assert _DEFAULTS[("optimize", "seed")] == lib.seed == perm.seed
-    assert (_DEFAULTS[("scan", "starts")], _DEFAULTS[("scan", "m_max")]) == (6, 3)
-    assert _DEFAULTS[("perm-optimize", "starts")] == perm.n_starts
-    assert _DEFAULTS[("density", "vertex_cap")] == DEFAULT_VERTEX_CAP
-    assert _DEFAULTS[("scan", "spike_factor")] == scan.SPIKE_FACTOR
-    assert _DEFAULTS[("scan", "svg_field")] in scan.SVG_FIELDS
+    assert default("optimize", "starts") == lib.n_starts
+    assert default("optimize", "m_max") == lib.m_max
+    assert default("optimize", "tol") == default("scan", "tol") == lib.feasibility_tol
+    assert default("optimize", "seed") == lib.seed == perm.seed
+    assert (default("scan", "starts"), default("scan", "m_max")) == (6, 3)
+    assert default("perm-optimize", "starts") == perm.n_starts
+    assert default("density", "vertex_cap") == DEFAULT_VERTEX_CAP
+    assert default("scan", "spike_factor") == scan.SPIKE_FACTOR
+    assert default("scan", "svg_field") in scan.SVG_FIELDS
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -383,8 +390,9 @@ def test_unknown_svg_field_is_refused_before_any_cell(tmp_path, monkeypatch, cap
     csv_path = tmp_path / "late.csv"
     assert run(tmp_path, "scan", "--grid", "3x3", "--out", str(csv_path),
                "--svg", str(tmp_path / "late.svg"), *field) == 1
-    assert "unknown --svg-field 'entrpy'" in capsys.readouterr().err
+    assert "argument --svg-field: invalid choice: 'entrpy'" in capsys.readouterr().err
     assert solved == [] and not csv_path.exists()
+    assert not (tmp_path / "late.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize("chains", ["0", "-2"])
@@ -393,8 +401,8 @@ def test_chains_below_one_is_a_usage_error(tmp_path, capsys, chains):
     out_dir = tmp_path / "chains"
     assert run(tmp_path, "sample", "--n", "12", "--eps", "0.5", "--tau", "0.125",
                "--chains", chains, "--out-dir", str(out_dir)) == 1
-    assert f"--chains must be at least 1, got {chains}" in capsys.readouterr().err
-    assert os.listdir(out_dir) == ["manifest.json"]  # no samples.csv
+    assert f"argument --chains: must be at least 1, got {chains}" in capsys.readouterr().err
+    assert not out_dir.exists()  # neither samples.csv nor a manifest
 
 
 @pytest.mark.parametrize("field", ["podality", "transition"])
@@ -472,3 +480,153 @@ def test_sample_whose_repair_fails_exits_2_with_the_chain_error(tmp_path, capsys
     assert chain["chain"] == 0
     assert chain["error"].startswith("greedy repair failed to reach the constraint windows")
     assert (out_dir / "samples.csv").read_text() == "chain,sample,step,density_0,density_1\n"
+
+
+def test_scan_draws_infeasible_cells_gray(tmp_path, capsys):
+    # tau = 0.2 lies above eps^1.5 at eps = 0.3: no graphon reaches it
+    svg = tmp_path / "s.svg"
+    for field in ("entropy", "podality"):
+        assert run(tmp_path, "scan", "--grid", "1x2", "--eps-min", "0.3", "--eps-max", "0.3",
+                   "--tau-min", "0.05", "--tau-max", "0.2", "--starts", "2", "--m-max", "2",
+                   "--svg", str(svg), "--svg-field", field) == 0
+        cells = dict(re.findall(r'<rect x="70" y="(\d+)" width="12" height="12" fill="(#\w+)"/>',
+                                svg.read_text()))
+        # y grows downward: the upper cell is tau = 0.2
+        assert cells["34"] == NAN_COLOR == "#c8c8c8"
+        assert cells["46"] != "#c8c8c8"
+
+
+def test_sample_refuses_a_pattern_with_absent_edges(tmp_path, capsys):
+    # it was accepted, and the first count died in finite_density
+    path = tmp_path / "cons.json"
+    path.write_text(json.dumps([{"pattern": "edge", "target": 0.5},
+                                {"pattern": "t1", "target": 0.25}]))
+    assert run(tmp_path, "sample", "--n", "10", "--constraints", str(path), "--delta", "0.05",
+               "--out-dir", str(tmp_path / "d")) == 1
+    err = capsys.readouterr().err
+    assert "sampling and enumeration constraints must be all-present patterns" in err
+    assert not (tmp_path / "d" / "samples.csv").exists()
+
+
+# each subcommand's options as its manifest records them; the benchmark reads
+# options.threads from the scan and sample manifests
+MANIFEST_OPTIONS = {
+    "cut-distance": ["a", "b", "dbar", "max_order", "out", "seed", "subcommand", "threads"],
+    "density": ["graphon", "out", "pattern", "seed", "subcommand", "threads", "vertex_cap"],
+    "entropy": ["graphon", "out", "seed", "subcommand", "threads"],
+    "enumerate": ["constraints", "delta", "eps", "full_histogram", "histogram", "model", "n",
+                  "out", "seed", "subcommand", "tau", "threads"],
+    "optimize": ["constraints", "eps", "m", "m_max", "model", "out", "seed", "signed_objective",
+                 "signed_zero", "starts", "subcommand", "tau", "threads", "tol"],
+    "perm-count": ["alpha", "delta", "n", "out", "pattern", "seed", "subcommand", "threads"],
+    "perm-density": ["method", "out", "pattern", "perm", "permuton", "samples", "seed",
+                     "subcommand", "threads"],
+    "perm-optimize": ["constraint", "out", "resolution", "seed", "starts", "subcommand", "threads"],
+    "reference": ["eps", "out", "seed", "subcommand", "tau", "threads"],
+    "sample": ["burn_in", "chains", "constraints", "delta", "eps", "interval", "model", "n", "out",
+               "out_dir", "samples", "seed", "subcommand", "tau", "threads"],
+    "scan": ["eps_max", "eps_min", "grid", "m_max", "model", "out", "seed", "spike_factor",
+             "starts", "subcommand", "svg", "svg_field", "tau_max", "tau_min", "threads", "tol"],
+}
+
+# one small run of every subcommand; q.json, b.json and g.json are inputs
+RUNS = {
+    "density": ["--graphon", "q.json", "--pattern", "triangle", "--out", "d.json"],
+    "entropy": ["--graphon", "q.json", "--out", "e.json"],
+    "optimize": ["--eps", "0.45", "--tau", "0.08", "--starts", "3", "--m-max", "2",
+                 "--out", "o.json"],
+    "reference": ["--eps", "0.5", "--tau", "0.1", "--out", "r.json"],
+    "scan": ["--grid", "2x1", *SCAN_TILE, "--out", "s.csv", "--svg", "s.svg"],
+    "sample": ["--n", "12", "--eps", "0.5", "--tau", "0.125", "--delta", "0.05", "--samples", "2",
+               "--burn-in", "100", "--interval", "50", "--chains", "2", "--out-dir", "chains",
+               "--out", "s.json"],
+    "enumerate": ["--n", "5", "--eps", "0.5", "--tau", "0.125", "--delta", "0.2",
+                  "--histogram", "h.csv", "--full-histogram", "--out", "en.json"],
+    "perm-density": ["--permuton", "g.json", "--pattern", "12", "--method", "montecarlo",
+                     "--samples", "2000", "--out", "pd.json"],
+    "perm-optimize": ["--constraint", "12=0.6", "--constraint", "123=0.3", "--resolution", "6",
+                      "--starts", "2", "--out", "po.json"],
+    "perm-count": ["--n", "4", "--pattern", "12", "--alpha", "0.5", "--delta", "0.1",
+                   "--out", "pc.json"],
+    "cut-distance": ["--a", "q.json", "--b", "b.json", "--dbar", "--max-order", "3",
+                     "--out", "cd.json"],
+}
+
+
+def _args(sub, root):
+    """RUNS[sub] with its inputs written under root and named by absolute path;
+    outputs stay relative to the directory the run is made in."""
+    root.mkdir(exist_ok=True)
+    q = StepGraphon([0.5, 0.5], [[0.2, 0.7], [0.7, 0.4]])
+    for name, doc in (("q.json", q), ("b.json", StepGraphon.constant(0.5)),
+                      ("g.json", GridPermuton.uniform(3))):
+        (root / name).write_text(json.dumps(doc.to_dict()))
+    return [str(root / a) if (root / a).exists() else a for a in RUNS[sub]]
+
+
+def _written(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_every_subcommand_is_pinned_and_run():
+    assert sorted(RUNS) == sorted(MANIFEST_OPTIONS) == sorted(build_parser().subcommands)
+
+
+@pytest.mark.parametrize("sub", sorted(RUNS))
+def test_manifest_records_the_pinned_options(tmp_path, monkeypatch, sub):
+    # the manifest is written before the subcommand runs, so the run is skipped
+    monkeypatch.setattr(cli, "_cmd_" + sub.replace("-", "_"), lambda opts: 0)
+    assert run(tmp_path, sub, *_args(sub, tmp_path / "inputs"), "--manifest", "m.json") == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["subcommand"] == sub
+    assert sorted(manifest["options"]) == MANIFEST_OPTIONS[sub]
+
+
+@pytest.mark.parametrize("sub", sorted(RUNS))
+def test_every_manifest_replays_through_config_alone(tmp_path, capsys, sub):
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run(work, sub, *_args(sub, tmp_path / "inputs")) == 0
+    first, stdout = _written(work), capsys.readouterr().out
+    out = RUNS[sub][RUNS[sub].index("--out") + 1]
+    replay = tmp_path / "replay.json"
+    replay.write_bytes(first[out + ".manifest.json"])
+    shutil.rmtree(work)
+    work.mkdir()
+    assert run(work, sub, "--config", str(replay)) == 0
+    assert _written(work) == first  # the outputs and the manifest itself
+    assert capsys.readouterr().out == stdout
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    # 2.9 starts ran as 2 and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.4, "tau": 0.05, "starts": 2.9}))
+    assert run(tmp_path, "optimize", "--config", str(cfg), "--out", "o.json") == 1
+    assert "argument --starts: invalid int value: '2.9'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_command_line_constraint_replaces_the_config_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constraint": ["12=0.6", "123=0.25"], "resolution": 4,
+                               "starts": 1, "subcommand": "perm-optimize", "out": None}))
+    for extra, constraint in (([], ["12=0.6", "123=0.25"]),
+                              (["--constraint", "21=0.3"], ["21=0.3"])):
+        assert run(tmp_path, "perm-optimize", "--config", str(cfg), *extra) == 0
+        assert len(json.loads(capsys.readouterr().out)["residuals"]) == len(constraint)
+        options = json.loads((tmp_path / "phases-manifest.json").read_text())["options"]
+        assert options["constraint"] == constraint and options["resolution"] == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "one of the arguments --perm --permuton is required"),
+    (["--perm", "pi.txt", "--permuton", "g.json"],
+     "argument --permuton: not allowed with argument --perm"),
+])
+def test_perm_density_needs_exactly_one_source(tmp_path, capsys, args, message):
+    # neither used to leave a manifest; both used to read --perm alone
+    assert run(tmp_path, "perm-density", "--pattern", "12", *args) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

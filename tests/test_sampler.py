@@ -336,7 +336,7 @@ class TestSampleConstrained:
 
     def test_only_counted_kinds_scale_past_the_generic_cap(self):
         # edge, triangle and k-star counts are updated per toggle; any other
-        # pattern, the signed 2-star included, is recounted and capped in n
+        # pattern is recounted and capped in n, the signed 2-star included
         adj = np.zeros((31, 31), dtype=np.int8)
         star = ConstraintVector(((SubgraphPattern.star(3), 0.1),), 0.05)
         assert _DensityTracker(adj, star).kinds == [("star", 3)]
@@ -344,8 +344,13 @@ class TestSampleConstrained:
             with pytest.raises(ValueError, match="n <= 30"):
                 _DensityTracker(adj, ConstraintVector(((pat, 0.1),), 0.05))
         tracker = _DensityTracker(adj[:5, :5], ConstraintVector(
-            ((SubgraphPattern.signed_two_star(), 0.1),), 0.05))
+            ((SubgraphPattern.cycle(4), 0.1),), 0.05))
         assert tracker.kinds == [("generic", 0)]
+        # a pattern with absent edges is refused when the tracker is built,
+        # as enumerate_Z refuses it, not at the first count
+        with pytest.raises(ValueError, match="must be all-present patterns"):
+            _DensityTracker(adj[:5, :5], ConstraintVector(
+                ((SubgraphPattern.signed_two_star(), 0.1),), 0.05))
 
 
 class TestBlockChain:
