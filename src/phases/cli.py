@@ -44,7 +44,7 @@ from .permuton import (
     permuton_pattern_density,
 )
 from .sampler import ChainConfig, SamplerInitError, enumerate_Z, sample_constrained
-from .scan import SPIKE_FACTOR, SVG_FIELDS, phase_scan
+from .scan import RESOLUTION_CAP, SPIKE_FACTOR, SVG_FIELDS, phase_scan
 from .serialize import (
     FileFormatError,
     load_grid_permuton,
@@ -70,6 +70,28 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def grid_cells(text: str) -> str:
+    """NXxNY cells, each count 1..RESOLUTION_CAP, kept as typed for the manifest."""
+    try:
+        counts = [int(t) for t in text.lower().split("x")]
+    except ValueError:
+        counts = []
+    if len(counts) != 2 or not all(1 <= c <= RESOLUTION_CAP for c in counts):
+        raise argparse.ArgumentTypeError(
+            f"expected NXxNY cells, each 1..{RESOLUTION_CAP}, such as 20x20; got {text!r}")
+    return text
+
+
+def model_name(text: str) -> str:
+    """A model `_model_patterns` reads, kept as typed for the manifest."""
+    try:
+        _model_patterns(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected edge-triangle or edge-kstar:K with K >= 1; got {text!r}") from exc
+    return text
 
 
 def _load_config(path: str) -> dict:
@@ -197,8 +219,8 @@ def _model_patterns(model: str) -> tuple[SubgraphPattern, SubgraphPattern]:
     if model == "edge-triangle":
         return SubgraphPattern.edge(), SubgraphPattern.triangle()
     if model.startswith("edge-kstar:"):
-        return SubgraphPattern.edge(), SubgraphPattern.star(int(model.split(":")[1]))
-    raise UsageError(f"unknown model {model!r} (edge-triangle or edge-kstar:K)")
+        return SubgraphPattern.edge(), SubgraphPattern.star(int(model[len("edge-kstar:"):]))
+    raise ValueError(f"unknown model {model!r}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -418,7 +440,7 @@ def _optimizer_flags(parser, starts=OptimizerOptions.n_starts, m_max=OptimizerOp
 
 
 def _target_flags(parser):
-    parser.add_argument("--model", default="edge-triangle")
+    parser.add_argument("--model", type=model_name, default="edge-triangle")
     parser.add_argument("--eps", type=float)
     parser.add_argument("--tau", type=float)
     parser.add_argument("--constraints", help="JSON constraint list file")
@@ -460,8 +482,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_reference)
 
     p = subs.add_parser("scan", help="phase-space grid scan")
-    p.add_argument("--model", default="edge-triangle")
-    p.add_argument("--grid", default="20x20", help="NXxNY cells")
+    p.add_argument("--model", type=model_name, default="edge-triangle")
+    p.add_argument("--grid", type=grid_cells, default="20x20", help="NXxNY cells")
     p.add_argument("--eps-min", dest="eps_min", type=float, default=0.2)
     p.add_argument("--eps-max", dest="eps_max", type=float, default=0.5)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=0.0)

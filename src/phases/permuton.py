@@ -31,7 +31,7 @@ EXACT_PATTERN_CAP = 3
 EXACT_RESOLUTION_CAP = 40
 PLAIN_PATTERN_CAP = 6
 STAR_PATTERN_CAP = 4
-COUNT_N_CAP = 9
+COUNT_N_CAP = 9  # a permutation's count, at most C(9, k) <= 126, fits in uint8
 DENSITY_FLOOR = 1e-12
 _SINKHORN_SWEEPS = 5000  # project_uniform_marginals refuses a grid still off after these
 # _PermutonGeometry's Newton-CG: CG products per direction, the largest
@@ -316,24 +316,31 @@ class _PatternDensity:
         return fact * val, (fact / scale * dw if grad else None)
 
 
-def _matches(rows: np.ndarray, pattern: StarPattern) -> np.ndarray:
-    """Whether the order type of each row of rows (..., k), whose entries are
-    distinct, is a completion of the pattern.
+def _matches(columns, pattern: StarPattern) -> np.ndarray:
+    """Whether the order type of each point (columns[0][i], ...,
+    columns[k - 1][i]), whose entries are distinct, is a completion of the
+    pattern.
 
-    A row's code has one bit per pair i < j of positions, set when
-    row[i] < row[j]; it is looked up in a table that marks the codes of the
-    completions."""
+    A point's code has one bit per pair i < j of positions, set when
+    columns[i] < columns[j]; it is built in place in a uint8 buffer (uint16
+    past 8 pairs) and compared with the code of each completion.  The
+    completions are distinct order types, so a point matches at most one."""
     pairs = list(itertools.combinations(range(pattern.k), 2))
+    dtype = np.uint8 if len(pairs) <= 8 else np.uint16
 
-    def codes(r):
-        out = np.zeros(r.shape[:-1], dtype=np.intp)
-        for bit, (i, j) in enumerate(pairs):
-            out |= (r[..., i] < r[..., j]).astype(np.intp) << bit
-        return out
+    def codes(cols):
+        code, less = np.zeros(len(cols[0]), dtype), np.empty(len(cols[0]), dtype)
+        for i, j in pairs:
+            np.less(cols[i], cols[j], out=less)
+            code += code  # the bits so far move up one
+            code += less
+        return code
 
-    table = np.zeros(1 << len(pairs), dtype=bool)
-    table[codes(np.array(pattern.completions()))] = True
-    return table[codes(rows)]
+    code = codes(columns)
+    out, hit = np.zeros(len(code), dtype=bool), np.empty(len(code), dtype=bool)
+    for c in codes(np.array(pattern.completions()).T).tolist():
+        out |= np.equal(code, c, out=hit)
+    return out
 
 
 def permuton_pattern_density(
@@ -370,7 +377,7 @@ def permuton_pattern_density(
         x = (ix + rng.random((samples, k))) / res
         y = (iy + rng.random((samples, k))) / res
         order = np.argsort(x, axis=1)
-        return float(_matches(np.take_along_axis(y, order, axis=1), pattern).mean())
+        return float(_matches(np.take_along_axis(y, order, axis=1).T, pattern).mean())
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -669,14 +676,15 @@ def count_constrained_perms(n: int, constraints, delta: float) -> PermCountRepor
     if n < 1:
         raise ValueError("n must be positive")
     constraints = [(p, float(t)) for p, t in constraints]
-    perms = _all_perms(n)
-    total = perms.shape[0]
+    # position by position, so a combination's columns are views
+    columns = np.ascontiguousarray(_all_perms(n).T)
+    total = columns.shape[1]
     ok = np.ones(total, dtype=bool)
     for pattern, alpha in constraints:
         k = _check_length(pattern, n)
-        counts = np.zeros(total, dtype=np.int64)
+        counts = np.zeros(total, dtype=np.uint8)
         for combo in itertools.combinations(range(n), k):
-            counts += _matches(perms[:, combo], pattern)
+            np.add(counts, _matches([columns[i] for i in combo], pattern), out=counts)
         lo, hi = _count_window(alpha, delta, math.comb(n, k))
         ok &= (counts >= lo) & (counts <= hi)
     count = int(ok.sum())

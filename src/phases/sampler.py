@@ -10,8 +10,9 @@ Densities use the injective (finite-graph) convention throughout.
 
 The chain draws its proposals in blocks: one generator call with per-element
 bounds (n, n - 1, n, n - 1, ...) consumes the generator as one pair of scalar
-draws per proposal does.  Common neighbours come from a codegree matrix A @ A
-updated in O(n) per accepted toggle, and each proposal is decided on Python
+draws per proposal does.  Each vertex's neighbourhood is a Python-int bitset,
+so the common neighbours of u and v are the popcount of an AND of two ints,
+an accepted toggle flips two bits, and each proposal is decided on Python
 ints.  A chain therefore retains the samples, acceptance and stalled flag of
 the single-proposal chain with the same seed.
 """
@@ -143,14 +144,15 @@ class _DensityTracker:
     the counts against the exact integer `windows`.
 
     Edge, triangle, and k-star counts are maintained incrementally from the
-    degrees and the codegree matrix `codeg` = A @ A, whose (u, v) entry is the
-    number of common neighbours of u and v; any other pattern forces a full
-    recount per proposal and is only allowed at small n.
+    degrees and the neighbourhood bitsets `rows`: bit v of the Python int
+    rows[u] is set when u and v are adjacent, so u and v have
+    (rows[u] & rows[v]).bit_count() common neighbours.  The 0/1 matrix `adj`
+    is kept beside them for the samples and for any other pattern, which
+    forces a full recount per proposal and is only allowed at small n.
     """
 
     def __init__(self, adj: np.ndarray, constraints: ConstraintVector):
-        # int64 like the codegree matrix, so a row update does not convert
-        self.adj = adj = adj.astype(np.int64)
+        self.adj = adj = adj.astype(np.int32)
         self.n = adj.shape[0]
         self.kinds: list[tuple[str, int]] = []
         for pat in constraints.patterns:
@@ -170,10 +172,16 @@ class _DensityTracker:
             _count_window(t, constraints.delta, d)
             for (_, t), d in zip(constraints.terms, self.denoms)
         ]
-        self.codeg = adj @ adj
+        self.rows = [
+            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in adj.astype(bool)
+        ]
         self.edge_count = int(adj.sum()) // 2
         self.degrees = adj.sum(axis=1).tolist()
-        self.triangle_count = int((self.codeg * adj).sum()) // 6
+        # each triangle has three edges, and is a common neighbour across each
+        self.triangle_count = sum(
+            (self.rows[u] & self.rows[v]).bit_count() for u, v in zip(*np.triu(adj).nonzero())
+        ) // 3
         self.star_arities = sorted({k for kind, k in self.kinds if kind == "star"})
         self.star_sums = {
             r: sum(_falling(d, r) for d in self.degrees) for r in self.star_arities
@@ -223,8 +231,8 @@ class _DensityTracker:
 
     def toggled_counts(self, u: int, v: int) -> list[int]:
         """Counts after toggling edge (u, v), without mutating state."""
-        sign = 1 - 2 * self.adj.item(u, v)
-        common = self.codeg.item(u, v)
+        ru, rv = self.rows[u], self.rows[v]
+        sign = 1 - 2 * (ru >> v & 1)
         du, dv = self.degrees[u], self.degrees[v]
         out = []
         generic_adj = None
@@ -232,7 +240,7 @@ class _DensityTracker:
             if kind == "edge":
                 out.append(self.edge_count + sign)
             elif kind == "triangle":
-                out.append(self.triangle_count + sign * common)
+                out.append(self.triangle_count + sign * (ru & rv).bit_count())
             elif kind == "star":
                 out.append(self._star_sum_after(r, du, dv, sign))
             else:
@@ -246,13 +254,15 @@ class _DensityTracker:
         whether it did.  The same decision as `inside(toggled_counts(u, v))`,
         made on Python ints with no NumPy call unless a generic pattern needs
         its recount."""
-        sign = 1 - 2 * self.adj.item(u, v)
+        rows = self.rows
+        ru = rows[u]
+        sign = 1 - 2 * (ru >> v & 1)
         window = self._edge_window
         if window is not None and not window[0] <= self.edge_count + sign <= window[1]:
             return False
         window = self._triangle_window
         if window is not None and not (
-            window[0] <= self.triangle_count + sign * self.codeg.item(u, v) <= window[1]
+            window[0] <= self.triangle_count + sign * (ru & rows[v]).bit_count() <= window[1]
         ):
             return False
         if self._star_windows:
@@ -283,30 +293,23 @@ class _DensityTracker:
         return self._as_densities(self.toggled_counts(u, v))
 
     def apply_toggle(self, u: int, v: int) -> None:
-        """Toggle edge (u, v) and update the counts in O(n): with s = +1 for an
-        added edge and -1 for a removed one, rows u and v of A @ A change by
-        s A[v] and s A[u] (A before the toggle), columns u and v mirror them,
-        and the diagonal holds the new degrees."""
-        adj, codeg = self.adj, self.codeg
-        sign = 1 - 2 * adj.item(u, v)
+        """Toggle edge (u, v) and update the counts: with s = +1 for an added
+        edge and -1 for a removed one, the triangle count moves by s times the
+        common neighbours of u and v, the degrees of u and v by s, and bit v
+        of rows[u] and bit u of rows[v] flip."""
+        rows = self.rows
+        ru, rv = rows[u], rows[v]
+        sign = 1 - 2 * (ru >> v & 1)
         du, dv = self.degrees[u], self.degrees[v]
         for r in self.star_arities:
             self.star_sums[r] = self._star_sum_after(r, du, dv, sign)
         self.edge_count += sign
-        self.triangle_count += sign * codeg.item(u, v)
+        self.triangle_count += sign * (ru & rv).bit_count()
         self.degrees[u] = du + sign
         self.degrees[v] = dv + sign
-        if sign > 0:
-            codeg[u] += adj[v]
-            codeg[v] += adj[u]
-        else:
-            codeg[u] -= adj[v]
-            codeg[v] -= adj[u]
-        codeg[:, u] = codeg[u]
-        codeg[:, v] = codeg[v]
-        codeg[u, u] = du + sign
-        codeg[v, v] = dv + sign
-        adj[u, v] = adj[v, u] = 1 - adj[u, v]
+        rows[u] = ru ^ 1 << v
+        rows[v] = rv ^ 1 << u
+        self.adj[u, v] = self.adj[v, u] = sign > 0
 
 
 def _initial_graphon(constraints: ConstraintVector) -> StepGraphon:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .graphon import FiniteGraph, StepGraphon, SubgraphPattern
 from .permuton import GridPermuton, Permutation
 
@@ -130,9 +132,15 @@ def load_finite_graph(path: str) -> FiniteGraph:
 
 
 def save_finite_graph(g: FiniteGraph, path: str) -> None:
+    """One `u v` line per edge, u < v, in row order.  Each row is one write
+    joined over the shared vertex names, so no string is made per edge (one
+    string for the whole graph raised the peak memory of `phases sample`)."""
+    names = [str(v) for v in range(g.n)]
     with open(path, "w") as fh:
-        for u, v in g.edge_list():
-            fh.write(f"{u} {v}\n")
+        for u, row in enumerate(np.triu(g.adjacency, 1)):
+            if row.any():
+                neighbours = [names[v] for v in np.flatnonzero(row).tolist()]
+                fh.write(f"{u} " + f"\n{u} ".join(neighbours) + "\n")
 
 
 def load_permutation(path: str) -> Permutation:

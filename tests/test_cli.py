@@ -405,6 +405,27 @@ def test_chains_below_one_is_a_usage_error(tmp_path, capsys, chains):
     assert not out_dir.exists()  # neither samples.csv nor a manifest
 
 
+@pytest.mark.parametrize("grid", ["2y2", "2x", "0x2", "2x2x2"])
+def test_malformed_grid_is_refused_before_the_manifest(tmp_path, capsys, grid):
+    # 2y2 failed in int() with a message naming neither the flag nor the form
+    assert run(tmp_path, "scan", "--grid", grid, "--out", "g.csv") == 1
+    assert f"argument --grid: expected NXxNY cells, each 1..200, such as 20x20; got {grid!r}" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, args", [
+    ("optimize", ["--eps", "0.4", "--tau", "0.05"]),
+    ("scan", ["--grid", "2x1"]),
+])
+@pytest.mark.parametrize("model", ["edge-cycle", "edge-kstar:0", "edge-kstar:2:3"])
+def test_unknown_model_is_refused_before_the_manifest(tmp_path, capsys, sub, args, model):
+    assert run(tmp_path, sub, *args, "--model", model, "--out", "m.json") == 1
+    assert f"argument --model: expected edge-triangle or edge-kstar:K with K >= 1; got {model!r}" \
+        in capsys.readouterr().err
+    assert list(tmp_path.glob("*manifest.json")) == []
+
+
 @pytest.mark.parametrize("field", ["podality", "transition"])
 def test_scan_draws_each_svg_field(tmp_path, capsys, field):
     svg = tmp_path / "s.svg"

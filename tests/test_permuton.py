@@ -412,7 +412,20 @@ class TestCounting:
             min_size=1, max_size=30))
         wanted = set(pattern.completions())
         expect = [_rank_tuple(row) in wanted for row in rows]
-        assert _matches(np.array(rows), pattern).tolist() == expect
+        assert _matches(np.array(rows).T, pattern).tolist() == expect
+
+    @pytest.mark.parametrize("pattern, alpha", [("123", 0.2), ("*2*", 0.3)])
+    def test_matches_brute_force_at_n7(self, pattern, alpha):
+        # the counts sum uint8 matches over all 35 position triples
+        pat = StarPattern.parse(pattern)
+        n, delta = 7, 0.1
+        brute = sum(
+            abs(perm_pattern_density(Permutation(vals), pat) - Fraction(str(alpha)))
+            < Fraction(str(delta))
+            for vals in itertools.permutations(range(1, n + 1))
+        )
+        assert 0 < brute < math.factorial(n)
+        assert count_constrained_perms(n, [(pat, alpha)], delta).count == brute
 
     def test_star_pattern_counting(self):
         star = StarPattern.parse("*2*")

@@ -234,6 +234,20 @@ class TestChainConfig:
 
 
 class TestSampleConstrained:
+    def test_bench_shape_chain_unchanged(self):
+        # the digest was read from the chain that kept the codegree matrix
+        # A @ A; the bitset tracker must retain the same samples
+        run = sample_constrained(ChainConfig(
+            n=150, constraints=ConstraintVector.edge_triangle(0.5, 0.1, 0.01), seed=3,
+            burn_in=3000, sample_interval=1500, n_samples=2))
+        h = hashlib.sha256()
+        for g in run.graphs:
+            h.update(np.ascontiguousarray(g.adjacency, dtype=np.int64).tobytes())
+        h.update(run.densities.tobytes())
+        assert h.hexdigest() == "d4d30bcb00f431d3edd57415eeebb54abb92e9601c447d1fdb286685ae35094e"
+        assert run.acceptance_rate == 9230 / 15000
+        assert not run.stalled
+
     def test_confinement(self):
         cfg = ChainConfig(n=30, constraints=edge_only(0.5, 0.05), seed=3, n_samples=6)
         run = sample_constrained(cfg)
@@ -354,8 +368,9 @@ class TestSampleConstrained:
 
 
 class TestBlockChain:
-    """The chain draws proposals in blocks and reads common neighbours from a
-    codegree matrix; it must be the single-proposal chain, sample for sample."""
+    """The chain draws proposals in blocks and reads common neighbours from
+    neighbourhood bitsets; it must be the single-proposal chain, sample for
+    sample."""
 
     @PROPERTY
     @given(
@@ -383,7 +398,11 @@ class TestBlockChain:
         toggles=st.integers(0, 80),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_codegree_matrix_tracks_toggles(self, n, p, toggles, seed):
+    # past one and three 64-bit words, and the bench's chain sizes
+    @example(n=65, p=0.5, toggles=80, seed=1)
+    @example(n=150, p=0.5, toggles=80, seed=2)
+    @example(n=200, p=0.3, toggles=80, seed=3)
+    def test_bitsets_track_toggles(self, n, p, toggles, seed):
         rng = np.random.default_rng(seed)
         cons = ConstraintVector(
             ((EDGE, 0.5), (TRI, 0.1), (SubgraphPattern.star(2), 0.2),
@@ -398,7 +417,10 @@ class TestBlockChain:
                 accepted = tracker.inside(tracker.toggled_counts(u, v))
                 assert tracker.try_toggle(u, v) == accepted
         adj = tracker.adj
-        assert np.array_equal(tracker.codeg, adj @ adj)
+        assert tracker.rows == [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in adj]
+        rows = tracker.rows
+        common = [[(rows[u] & rows[v]).bit_count() for v in range(n)] for u in range(n)]
+        assert np.array_equal(np.array(common), adj @ adj)
         assert tracker.degrees == adj.sum(axis=1).tolist()
         assert tracker.counts() == _DensityTracker(adj.copy(), cons).counts()
 

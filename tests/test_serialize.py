@@ -51,6 +51,16 @@ def test_finite_graph_edge_list_round_trip(tmp_path):
     assert np.array_equal(g.adjacency, g2.adjacency)
 
 
+@pytest.mark.parametrize("n, p", [(1, 0.0), (5, 0.0), (7, 1.0), (12, 0.3), (200, 0.5)])
+def test_finite_graph_edge_list_is_one_line_per_edge(tmp_path, rng, n, p):
+    # the format the sample files have always had: "u v" for u < v, row by row
+    adj = np.triu((rng.random((n, n)) < p).astype(np.int32), 1)
+    g = FiniteGraph(adj + adj.T)
+    path = tmp_path / "g.txt"
+    save_finite_graph(g, str(path))
+    assert path.read_text() == "".join(f"{u} {v}\n" for u, v in g.edge_list())
+
+
 def test_finite_graph_json_adjacency(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"adjacency": [[0, 1], [1, 0]]}))
