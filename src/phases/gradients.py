@@ -3,15 +3,18 @@
 Everything here works on raw (masses, values) arrays since it sits inside the
 optimizer's hot loop.
 
-The edge, triangle, k-star and signed 2-star densities have closed forms.
-Any other pattern is compiled once into a contraction plan: a greedy
-elimination order on the pattern graph turns the sum over block assignments
-into a short list of batched binary steps (broadcast products and matmuls).
-The forward run keeps every intermediate, and one reverse sweep over the
-same steps gives the gradient of every operand for a small constant multiple
-of the value's cost.  The closed forms stay: the edge/triangle solves of
-constrained_entropy and the scans run on them alone, so keeping them keeps
-those outputs bit for bit, and the tests check the plans against them.
+The edge, triangle, k-star, signed 2-star and signed square densities have
+closed forms.  Any other pattern, the plain 4-cycle included, is compiled
+once into a contraction plan: a greedy elimination order on the pattern
+graph turns the sum over block assignments into a short list of batched
+binary steps (broadcast products and matmuls).  The forward run keeps every
+intermediate, and one reverse sweep over the same steps gives the gradient
+of every operand for a small constant multiple of the value's cost.  The
+closed forms stay: the edge/triangle solves of constrained_entropy and the
+scans run on them alone, so keeping them keeps those outputs bit for bit,
+and the tests check the plans against them.  The signed square, the
+constraint of bounded_signed_max, is three matmuls where its plan takes
+some 25 steps.
 
 Gradients use the symmetric parameterization: the returned value-gradient
 dV satisfies dV[a,b] = d(t)/d(theta_ab) where theta_ab = theta_ba is the
@@ -213,11 +216,13 @@ class DensityEvaluator:
     """Value and analytic gradient of one pattern density on step graphons:
     one graphon, c (m,) and p (m, m), or a batch, (B, m) and (B, m, m).
 
-    kind names the closed form that serves the pattern, or "generic" for
-    its contraction plan (a _Plan), which is built on first use and serves
-    any kind set to "generic" too.  A row's result, closed form or plan, is
-    bit for bit the result for that row alone.  Patterns above
-    DEFAULT_VERTEX_CAP vertices are rejected, as by subgraph_density.
+    kind names the closed form that serves the pattern (edge, triangle,
+    star, signed2star, signedsquare), or "generic" for its contraction plan
+    (a _Plan), which is built on first use and serves any kind set to
+    "generic" too; every other pattern, the 4-cycle included, runs its
+    plan.  A row's result, closed form or plan, is bit for bit the result
+    for that row alone.  Patterns above DEFAULT_VERTEX_CAP vertices are
+    rejected, as by subgraph_density.
     """
 
     def __init__(self, pattern: SubgraphPattern):
@@ -245,6 +250,9 @@ class DensityEvaluator:
         elif kind == "signed2star":
             r = _mv(p, c)
             val = _dot(c, r * (1.0 - r))
+        elif kind == "signedsquare":
+            y = p @ (c[:, :, None] * (1.0 - p))
+            val = _dot(_vm(c, y * np.swapaxes(y, -1, -2)), c)
         else:
             val = self._plan.forward(c, p)[-1]
         return float(val[0]) if single else val
@@ -275,6 +283,17 @@ class DensityEvaluator:
             val = _dot(c, r * (1.0 - r))
             g_full = (c * (1.0 - 2.0 * r))[:, :, None] * c[:, None, :]
             dc = r * (1.0 - r) + _mv(p, c * (1.0 - 2.0 * r))
+        elif kind == "signedsquare":
+            # t = tr(X^2) with X = D P D Q, D = diag(c), Q = 1 - P; Y = P D Q
+            # and W = Y o Y^T give t = c W c and dc = 4 W c, with no 1/c
+            dq = c[:, :, None] * (1.0 - p)
+            y = p @ dq
+            yt = np.swapaxes(y, -1, -2)
+            w = y * yt
+            val = _dot(_vm(c, w), c)
+            # 2 DQDPDQD - 2 DPDQDPD, with QDPDQ = Y^T D Q and PDQDP = Y D P
+            g_full = 2.0 * (c[:, :, None] * c[:, None, :]) * (yt @ dq - y @ (c[:, :, None] * p))
+            dc = 4.0 * _mv(w, c)
         else:
             vals = self._plan.forward(c, p)
             val = vals[-1]

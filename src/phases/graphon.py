@@ -486,7 +486,9 @@ def _pattern_kind(pattern: SubgraphPattern) -> tuple[str, int]:
     """Which closed-form density kernel a pattern has: ("edge", 0),
     ("triangle", 0), ("star", r) for the r-star with center 1 (r >= 2),
     ("signed2star", 0) for one present and one absent edge sharing a vertex,
-    and ("generic", 0) for anything else."""
+    ("signedsquare", 0) for a 4-cycle of alternating present and absent
+    edges (two perfect matchings of 4 vertices), and ("generic", 0) for
+    anything else (the 4-cycle included)."""
     if pattern == SubgraphPattern.edge():
         return ("edge", 0)
     if pattern == SubgraphPattern.triangle():
@@ -501,6 +503,11 @@ def _pattern_kind(pattern: SubgraphPattern) -> tuple[str, int]:
         and len(set(pattern.edges[0]) & set(pattern.absent[0])) == 1
     ):
         return ("signed2star", 0)
+    if pattern.k == 4 and all(
+        len(edges) == 2 and len({v for e in edges for v in e}) == 4
+        for edges in (pattern.edges, pattern.absent)
+    ):
+        return ("signedsquare", 0)
     return ("generic", 0)
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phases.gradients import DensityEvaluator, EntropyObjective, mass_chain_rule
 from phases.graphon import StepGraphon, SubgraphPattern, graphon_entropy, subgraph_density
 from phases.metrics import connected_patterns
+from phases.optimizer import _MASS_FLOOR
 
 PATTERNS = {
     "edge": SubgraphPattern.edge(),
@@ -120,8 +123,8 @@ def test_evaluator_agrees_with_module_functions(rng):
 
 
 def test_plans_run_without_einsum(monkeypatch, rng):
-    """A generic pattern is evaluated by its compiled plan: no per-call path
-    planning and no einsum."""
+    """A generic pattern (the 4-cycle has no closed form) is evaluated by its
+    compiled plan: no per-call path planning and no einsum."""
 
     def banned(*args, **kwargs):
         raise AssertionError("einsum called while evaluating a plan")
@@ -131,5 +134,50 @@ def test_plans_run_without_einsum(monkeypatch, rng):
     c = rng.dirichlet(np.ones(5), size=8)
     p = rng.uniform(size=(8, 5, 5))
     p = (p + np.swapaxes(p, 1, 2)) / 2.0
-    val, dv, dc = DensityEvaluator(SubgraphPattern.signed_square()).value_and_grads(c, p)
+    ev = DensityEvaluator(SubgraphPattern.cycle(4))
+    assert ev.kind == "generic"
+    val, dv, dc = ev.value_and_grads(c, p)
     assert val.shape == (8,) and dv.shape == (8, 5, 5) and dc.shape == (8, 5)
+
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 12), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       on_bounds=st.booleans(), labels=st.permutations([1, 2, 3, 4]))
+def test_signed_square_kernel_matches_plan_and_einsum(m, batch, seed, on_bounds, labels):
+    """The signed square's closed form over bounded_signed_max's range m =
+    1..12: within 1e-12 of the plan (value, dV and the raw dc) and of
+    subgraph_density; with on_bounds, values sit exactly on 0 and 1 and
+    masses on _MASS_FLOOR.  Each row is bit for bit its single-row call.
+    Any labelling of the vertices is recognised."""
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.full(m, 1.5), size=batch)
+    p = rng.uniform(size=(batch, m, m))
+    if on_bounds:
+        for row in c:
+            floored = rng.uniform(size=m) < 0.4
+            floored[np.argmax(row)] = False
+            row[~floored] *= (1.0 - floored.sum() * _MASS_FLOOR) / row[~floored].sum()
+            row[floored] = _MASS_FLOOR
+        p[rng.uniform(size=p.shape) < 0.25] = 0.0
+        p[rng.uniform(size=p.shape) < 0.25] = 1.0
+    p = np.triu(p) + np.swapaxes(np.triu(p, 1), -1, -2)
+    square = SubgraphPattern.signed_square()
+    t2 = SubgraphPattern(4, *([(labels[u - 1], labels[v - 1]) for u, v in edges]
+                              for edges in (square.edges, square.absent)))
+    ev, plan = DensityEvaluator(t2), DensityEvaluator(t2)
+    plan.kind = "generic"
+    assert ev.kind == "signedsquare"
+    val, dv, dc = ev.value_and_grads(c, p)
+    expect = plan.value_and_grads(c, p)
+    for got, want in zip((val, dv, dc), expect):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(ev.value(c, p), val)
+    for i in range(batch):
+        assert ev.value(c[i], p[i]) == val[i]
+        single = ev.value_and_grads(c[i], p[i])
+        assert single[0] == val[i]
+        assert np.array_equal(single[1], dv[i]) and np.array_equal(single[2], dc[i])
+        q = StepGraphon(c[i], p[i])
+        assert ev.value(q.masses, q.values) == pytest.approx(
+            subgraph_density(q, t2), abs=1e-12)

@@ -226,8 +226,9 @@ class TestEmpiricalAndFinite:
         assert finite_density(c5, SubgraphPattern.edge()) == Fraction(1, 2)
 
     def test_requires_all_present(self):
-        with pytest.raises(ValueError, match="all-present"):
-            finite_density(FiniteGraph.complete(4), SubgraphPattern.signed_two_star())
+        for pat in (SubgraphPattern.signed_two_star(), SubgraphPattern.signed_square()):
+            with pytest.raises(ValueError, match="all-present"):
+                finite_density(FiniteGraph.complete(4), pat)
 
     def test_pattern_larger_than_graph(self):
         with pytest.raises(ValueError, match="vertices"):

@@ -491,11 +491,22 @@ def test_certificate_refuses_points_that_are_not_kkt_points(monkeypatch):
 
 class TestBoundedSignedMax:
     def test_staircase_values(self):
-        for m in (2, 4, 8):
+        # the sweep's answer is a raw staircase seed, feasible only because
+        # t2 reads 0.0 exactly, on the closed form and on the plan alike
+        t2 = SubgraphPattern.signed_square()
+        closed, plan = DensityEvaluator(t2), DensityEvaluator(t2)
+        plan.kind = "generic"
+        for m in range(1, 13):
             q = staircase_graphon(m)
             t1 = subgraph_density(q, SubgraphPattern.signed_two_star())
             assert t1 == pytest.approx((m * m - 1) / (6 * m * m), abs=1e-14)
-            assert subgraph_density(q, SubgraphPattern.signed_square()) == 0.0
+            assert subgraph_density(q, t2) == 0.0
+            seeds = [(q.masses, q.values)]
+            if m >= 2:
+                seeds.append(optimizer._split_to_m(staircase_graphon(m // 2), m))
+            for c, p in seeds:
+                assert closed.value(c, p) == closed.value_and_grads(c, p)[0] == 0.0
+                assert plan.value(c, p) == 0.0
 
     def test_constant_ansatz_is_degenerate(self):
         res = bounded_signed_max(
@@ -582,7 +593,11 @@ def test_options_outside_their_range_are_rejected(cls, name, value):
 # the Newton steps of _GraphonGeometry
 
 NEWTON = settings(max_examples=30, deadline=None, derandomize=True, database=None)
-CONSTRAINT_SETS = {"edge-triangle": (EDGE, TRI), "edge-signed-square": (EDGE, SubgraphPattern.signed_square())}
+# the 4-cycle has no closed form, so its set runs the Hessian and direction
+# checks through a contraction plan
+CONSTRAINT_SETS = {"edge-triangle": (EDGE, TRI),
+                   "edge-signed-square": (EDGE, SubgraphPattern.signed_square()),
+                   "edge-4cycle": (EDGE, SubgraphPattern.cycle(4))}
 
 
 def _geometry(name, m, targets=(0.3, 0.02)):
@@ -645,7 +660,7 @@ def test_newton_direction_ascends_and_holds_active_coordinates():
     held_masses = held_values = 0
     for trial in range(60):
         m = 2 + trial % 4
-        geo = _geometry(list(CONSTRAINT_SETS)[trial % 2], m)
+        geo = _geometry(list(CONSTRAINT_SETS)[trial % len(CONSTRAINT_SETS)], m)
         theta = _theta_on_bounds(rng, m)
         lam, rho = rng.normal(scale=3.0, size=(1, 2)), rng.uniform(0.0, 100.0, 1)
         _, _, grad, _ = geo.grads(theta, lam, rho)

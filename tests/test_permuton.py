@@ -367,6 +367,44 @@ def test_two_constraint_solve_converges(monkeypatch):
     assert abs(moved.entropy - res.entropy) <= 1e-8
 
 
+def mallows_density(beta, x, y):
+    """Starr's limit of the Mallows model: the entropy maximizer among
+    permutons of its 12 density (Starr 2009)."""
+    return (beta / 2) * np.sinh(beta / 2) / (
+        np.exp(beta / 4) * np.cosh(beta * (x - y) / 2)
+        - np.exp(-beta / 4) * np.cosh(beta * (x + y - 1) / 2)) ** 2
+
+
+def mallows_reference(beta):
+    """(rho12, entropy) of u_beta: the midpoint grids at n = 200 and 400,
+    their O(n^-2) errors cancelled by Richardson's (4 f_400 - f_200) / 3.
+    A grid's 12 density counts a pair in one row or column of cells 1/2
+    (the within-cell tie terms); without them rho12 reads 1.7e-3 low at
+    beta = 2, and the grid solves then read above the continuum maximum."""
+    out = []
+    for n in (200, 400):
+        x = (np.arange(n) + 0.5) / n
+        g = mallows_density(beta, x[:, None], x[None, :])
+        w = g / n**2
+        u = np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
+        out.append(np.array([2.0 * np.sum(w * (u.T @ w @ u)), -np.mean(g * np.log(g))]))
+    return (4.0 * out[1] - out[0]) / 3.0
+
+
+@pytest.mark.parametrize("beta", [2.0, 5.0])
+def test_grid_solves_converge_to_the_mallows_permuton(beta):
+    # at r = 10, 20, 40 a 12-only solve falls short of the continuum maximum
+    # S at O(r^-2): successive shortfalls shrink about 4x, and Richardson's
+    # extrapolation lands on S
+    rho12, entropy = mallows_reference(beta)
+    solved = [maximize_permuton_entropy([(P12, rho12)], r, PermutonOptimizerOptions(n_starts=2))
+              for r in (10, 20, 40)]
+    assert all(res.feasible for res in solved)
+    short = [entropy - res.entropy for res in solved]
+    assert all(s > 0.0 for s in short)
+    assert 3.5 <= short[0] / short[1] <= 4.5 and 3.5 <= short[1] / short[2] <= 4.5
+    assert abs((4.0 * solved[2].entropy - solved[1].entropy) / 3.0 - entropy) <= 1e-5
+
 class TestCounting:
     def test_s4_example(self):
         rep = count_constrained_perms(4, [(P12, 0.5)], 0.1)

@@ -350,11 +350,13 @@ class TestSampleConstrained:
 
     def test_only_counted_kinds_scale_past_the_generic_cap(self):
         # edge, triangle and k-star counts are updated per toggle; any other
-        # pattern is recounted and capped in n, the signed 2-star included
+        # pattern is recounted and capped in n, the signed 2-star and the
+        # signed square (closed forms of the optimizer only) included
         adj = np.zeros((31, 31), dtype=np.int8)
         star = ConstraintVector(((SubgraphPattern.star(3), 0.1),), 0.05)
         assert _DensityTracker(adj, star).kinds == [("star", 3)]
-        for pat in (SubgraphPattern.cycle(4), SubgraphPattern.signed_two_star()):
+        signed = (SubgraphPattern.signed_two_star(), SubgraphPattern.signed_square())
+        for pat in (SubgraphPattern.cycle(4), *signed):
             with pytest.raises(ValueError, match="n <= 30"):
                 _DensityTracker(adj, ConstraintVector(((pat, 0.1),), 0.05))
         tracker = _DensityTracker(adj[:5, :5], ConstraintVector(
@@ -362,9 +364,9 @@ class TestSampleConstrained:
         assert tracker.kinds == [("generic", 0)]
         # a pattern with absent edges is refused when the tracker is built,
         # as enumerate_Z refuses it, not at the first count
-        with pytest.raises(ValueError, match="must be all-present patterns"):
-            _DensityTracker(adj[:5, :5], ConstraintVector(
-                ((SubgraphPattern.signed_two_star(), 0.1),), 0.05))
+        for pat in signed:
+            with pytest.raises(ValueError, match="must be all-present patterns"):
+                _DensityTracker(adj[:5, :5], ConstraintVector(((pat, 0.1),), 0.05))
 
 
 class TestBlockChain:
@@ -622,9 +624,9 @@ class TestEnumeration:
         assert peak < 8 * 2**20
 
     def test_signed_pattern_rejected(self):
-        cons = ConstraintVector(((SubgraphPattern.signed_two_star(), 0.2),), 0.1)
-        with pytest.raises(ValueError, match="all-present"):
-            enumerate_Z(4, cons)
+        for pat in (SubgraphPattern.signed_two_star(), SubgraphPattern.signed_square()):
+            with pytest.raises(ValueError, match="all-present"):
+                enumerate_Z(4, ConstraintVector(((pat, 0.2),), 0.1))
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
