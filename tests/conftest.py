@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread: the solvers run many small matmuls, which a second thread
+# slows several-fold when the other CPU is busy.  OpenBLAS reads these
+# variables once, when NumPy loads it, so they are set before the import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -13,7 +13,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from phases import sampler
-from phases.graphon import ConstraintVector, FiniteGraph, SubgraphPattern, finite_density
+from phases.graphon import ConstraintVector, FiniteGraph, StepGraphon, SubgraphPattern, finite_density
 from phases.optimizer import reference_construction
 from phases.sampler import (
     ChainConfig,
@@ -76,6 +76,66 @@ def _all_graphs(n):
 def random_graph(n, p, rng):
     adj = np.triu((rng.random((n, n)) < p).astype(np.int32), 1)
     return adj + adj.T
+
+
+def direct_kmeans(rows, m, seed):
+    """The reference k-means: k-means++ seeding and Lloyd's algorithm on
+    direct sums of (r - c)^2, one restart after another.  Returns the ten
+    seedings, the objective and labels of the first restart within 1e-12 of
+    the best, and the smallest relative gap, over every row and iteration,
+    between a row's nearest center and the nearest center that differs from
+    it.  Iterations whose centers are all 0/1 rows are left out of the gap:
+    there both distance forms are exact integers and break ties alike."""
+    n = rows.shape[0]
+    rng = np.random.default_rng(seed)
+    seedings, best, gap = [], None, np.inf
+    for _ in range(10):
+        centers = [rows[int(rng.integers(n))]]
+        while len(centers) < m:
+            d2 = np.min([((rows - c) ** 2).sum(axis=1) for c in centers], axis=0)
+            total = d2.sum()
+            if total <= 0:
+                centers.append(centers[0])
+                continue
+            centers.append(rows[int(rng.choice(n, p=d2 / total))])
+        centers = np.array(centers, dtype=float)
+        seedings.append(centers.copy())
+        labels = None
+        for _it in range(100):
+            d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            if not np.array_equal(centers, np.round(centers)):
+                differs = np.any(centers[:, None] != centers[None], axis=2)[new_labels]
+                nearest = d2[np.arange(n), new_labels]
+                rival = np.where(differs, d2, np.inf).min(axis=1)
+                rel = (rival - nearest) / np.where(np.isfinite(rival), rival, 1.0)
+                gap = min(gap, float(rel.min()))
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for k in range(m):
+                mask = labels == k
+                if mask.any():
+                    centers[k] = rows[mask].mean(axis=0)
+        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        obj = float(d2[np.arange(n), labels].sum())
+        if best is None or obj < best[0] - 1e-12:
+            best = (obj, labels.copy())
+    return seedings, best[0], best[1], gap
+
+
+def block_means(adj, labels):
+    """Block masses and edge frequencies of a labelling, block by block."""
+    n = adj.shape[0]
+    blocks = [np.flatnonzero(labels == k) for k in np.unique(labels)]
+    values = np.empty((len(blocks), len(blocks)))
+    for a, ia in enumerate(blocks):
+        for b, ib in enumerate(blocks):
+            pairs = len(ia) * len(ib) - (len(ia) if a == b else 0)
+            values[a, b] = adj[np.ix_(ia, ib)].sum() / max(pairs, 1)
+        if len(ia) == 1:
+            values[a, a] = adj[ia[0]].sum() / max(n - 1, 1)
+    return np.array([len(ia) for ia in blocks]) / n, values
 
 
 def single_proposal_chain(cfg):
@@ -531,6 +591,77 @@ class TestBlockEstimation:
             estimate_block_structure(g, 9)
         with pytest.raises(ValueError):
             estimate_block_structure(g, 6)
+
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(1, 8),
+        p=st.floats(0.0, 1.0),
+        types=st.integers(0, 6),
+        graph_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 5),
+    )
+    @example(n=40, m=8, p=0.5, types=0, graph_seed=1, seed=0)
+    @example(n=30, m=4, p=0.5, types=3, graph_seed=2, seed=1)
+    @example(n=12, m=5, p=0.3, types=2, graph_seed=3, seed=2)
+    def test_gram_kmeans_matches_direct_kmeans(self, n, m, p, types, graph_seed, seed):
+        # types > 0: a blow-up with independent classes, whose nodes of one
+        # type share an adjacency row
+        m = min(m, n)
+        rng = np.random.default_rng(graph_seed)
+        if types:
+            kind = rng.integers(types, size=n)
+            adj = random_graph(types, p, rng)[np.ix_(kind, kind)]
+        else:
+            adj = random_graph(n, p, rng)
+        rows = adj.astype(float)
+        est = estimate_block_structure(FiniteGraph(adj), m, seed=seed)
+        seedings, objective, labels, gap = direct_kmeans(rows, m, seed)
+        # the seedings draw alike, distance ties or not
+        draw = np.random.default_rng(seed)
+        for want in seedings:
+            assert np.array_equal(rows[sampler._kmeanspp(rows, rows.sum(axis=1), m, draw)], want)
+        if gap > 1e-9:
+            want = StepGraphon(*block_means(adj, labels))
+            assert np.array_equal(est.labels, labels)
+            assert est.objective == objective
+            assert np.array_equal(est.graphon.masses, want.masses)
+            assert np.array_equal(est.graphon.values, want.values)
+        # a Lloyd fixed point: each node's cluster mean is a nearest one, and
+        # the objective is the sum of squares about the cluster means
+        kinds, own = np.unique(est.labels, return_inverse=True)
+        means = np.array([rows[est.labels == k].mean(axis=0) for k in kinds])
+        d2 = ((rows[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(d2[np.arange(n), own] <= d2.min(axis=1) + 1e-9 * np.maximum(d2.min(axis=1), 1.0))
+        assert est.objective == pytest.approx(d2[np.arange(n), own].sum(), rel=1e-9, abs=1e-9)
+
+    def test_two_row_types_fill_two_of_four_clusters(self):
+        # K_{3,3} has two distinct rows: seeding picks one of each, then
+        # repeats the first, and the two empty clusters are dropped
+        g = FiniteGraph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        rows = g.adjacency.astype(float)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            picks = sampler._kmeanspp(rows, rows.sum(axis=1), 4, rng)
+            assert (picks[0] < 3) != (picks[1] < 3)
+            assert picks[2:] == [picks[0], picks[0]]
+        est = estimate_block_structure(g, 4, seed=0)
+        assert est.graphon.m == 2
+        assert est.objective == 0.0
+        assert np.array_equal(est.graphon.masses, [0.5, 0.5])
+        assert np.array_equal(est.graphon.values, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_seeding_repeats_the_first_center_when_every_row_is_one(self):
+        g = FiniteGraph.empty(6)
+        rows = g.adjacency.astype(float)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            picks = sampler._kmeanspp(rows, rows.sum(axis=1), 3, rng)
+            assert picks == [picks[0]] * 3
+        est = estimate_block_structure(g, 3, seed=0)
+        assert est.graphon.m == 1
+        assert est.graphon.values[0, 0] == 0.0
 
 
 class TestEnumeration:
