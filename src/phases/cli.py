@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -69,6 +70,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -490,7 +498,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tau-max", dest="tau_max", type=float, default=0.2)
     p.add_argument("--svg", help="SVG heatmap output path")
     p.add_argument("--svg-field", dest="svg_field", default="entropy", choices=SVG_FIELDS)
-    p.add_argument("--spike-factor", dest="spike_factor", type=float, default=SPIKE_FACTOR)
+    p.add_argument("--spike-factor", dest="spike_factor", type=positive_finite,
+                   default=SPIKE_FACTOR)
     _optimizer_flags(p, starts=6, m_max=3)
     _common(p)
     p.set_defaults(func=_cmd_scan)
@@ -521,8 +530,8 @@ def build_parser() -> _Parser:
     source.add_argument("--perm", help="permutation file (one-line values)")
     source.add_argument("--permuton", help="grid permuton JSON file")
     p.add_argument("--pattern", required=True, help='e.g. "12", "123", "*2*"')
-    p.add_argument("--method", default="exact")
-    p.add_argument("--samples", type=int, default=200000)
+    p.add_argument("--method", default="exact", choices=("exact", "montecarlo"))
+    p.add_argument("--samples", type=positive_int, default=200000)
     _common(p)
     p.set_defaults(func=_cmd_perm_density)
 

@@ -12,9 +12,9 @@ One AL driver (`_multistart`, `_ascend`, `_backtrack`) solves every start of
 one problem as one NumPy batch of flat parameter rows theta, in which each
 start takes the same steps, up to rounding, as it would alone.  It owns the
 rules both problems share: multipliers and penalty schedule, Armijo
-backtracking, the stationarity, stall and hopeless-start stops and the
-best-pick.  A geometry object supplies the rest: `_GraphonGeometry` here
-(theta = masses and upper-triangle values; Newton directions from a
+backtracking from step 1, the stationarity, stall and hopeless-start stops
+and the best-pick.  A geometry object supplies the rest: `_GraphonGeometry`
+here (theta = masses and upper-triangle values; Newton directions from a
 finite-difference AL Hessian in coordinates that keep the masses on the
 simplex, and a Newton-KKT finish of the feasible rows), and
 `phases.permuton._PermutonGeometry` (theta = a grid permuton; Newton-CG
@@ -31,9 +31,9 @@ infinitesimal mass, whatever its row, raises the Lagrangian to first order
 Kenyon, Radin, Ren & Sadun 2017).  While no m is feasible the same test reads
 the residual -|t(q) - alpha|^2 / 2 instead: neither the graphon's own
 coordinates nor a new block lower it to first order.  The row is searched by
-the same driver's gradient ascent, on `_InsertionGeometry`.  One rule ranks
-the starts of an m and the sizes alike (`_rank`), and one says when two tie
-(`_no_worse`: entropies within _ESCALATION_TOL, worst residuals within a
+the same driver's projected-Newton ascent, on `_InsertionGeometry`.  One rule
+ranks the starts of an m and the sizes alike (`_rank`), and one says when two
+tie (`_no_worse`: entropies within _ESCALATION_TOL, worst residuals within a
 relative _RESIDUAL_TIE_RTOL plus feasibility_tol).  Where the certificate
 fails, the escalation stops after two sizes that the best is no worse than.
 """
@@ -316,22 +316,22 @@ class _GraphonGeometry:
     objective and constraint gaps of a batch of points, `project` moves rows
     of theta back into the domain, `grads` gives the AL value and gradient,
     `direction` each row's ascent direction, and `finish` yields each final
-    row as (point, objective, gaps).  A row's first trial step is steps[0],
-    then what `next_step` says; `stationary` says which rows the driver may
-    stop, by the tolerance `gtol`.  _InsertionGeometry and phases.permuton
-    define the other geometries.
+    row as (point, objective, gaps); `stationary` says which rows the driver
+    may stop, by the tolerance `gtol`.  The driver alone sets the step size:
+    every row's first trial is a full step along its direction
+    (`_backtrack`).  _InsertionGeometry and phases.permuton define the other
+    geometries.
 
     Here the direction is projected Newton (Bertsekas 1982) in reduced
     coordinates x: mass directions e_i - e_ref, ref the row's largest mass,
     which keep the masses on the simplex, and the values.  A coordinate on
     its floor or ceiling whose gradient points out is held fixed, the AL
     Hessian in x (`_hessian`) is made negative definite by flipping and
-    flooring its eigenvalues at _EIG_FLOOR, and every trial starts at step 1.
+    flooring its eigenvalues at _EIG_FLOOR.
     `finish` replaces the AL point of a feasible row by a Newton-KKT point
     where that is a strict local maximum (`_kkt`)."""
 
     keys = ("c", "p")
-    steps = (1.0,)
     gtol = 1e-9
 
     def __init__(self, objective, evals, targets, m, opts):
@@ -385,9 +385,6 @@ class _GraphonGeometry:
             dv = dv - coef[:, None, None] * dvj
             dc = dc - coef[:, None] * dcj
         return _al(obj, g, lam, rho), g, _theta_grads(c, dv, dc), obj
-
-    def next_step(self, eta, dth, dgr):
-        return np.ones_like(eta)
 
     def _basis(self, theta):
         """Per row, the theta directions of the reduced coordinates as
@@ -535,79 +532,72 @@ def _theta_grads(c, dv, dc):
     return np.concatenate([mass_chain_rule(c, dc), dv[..., iu0, iu1]], axis=-1)
 
 
-def _ascend(geo, theta, lam, rho, opts):
-    """Maximize the AL objective from each row of theta; returns (theta, g, obj).
+def _ascend(geo, theta, lam, rho, max_inner):
+    """Maximize the AL objective from each row of theta by at most max_inner
+    steps; returns (theta, g, obj).
 
-    Each row steps along geo.direction, with its own Armijo backtracking from
-    the trial step geo.next_step sets and its own stationarity, stall and
-    failed-step stops, and leaves the batch when it stops."""
+    Each row steps along geo.direction, with its own Armijo backtracking
+    (`_backtrack`) and its own stationarity, stall and failed-step stops, and
+    leaves the batch when it stops."""
     n = len(theta)
     out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
     rows = np.arange(n)
     f, g, grad, obj = geo.grads(theta, lam, rho)
-    eta = np.full(n, geo.steps[0])
     stall = np.zeros(n, dtype=int)
     stop = geo.stationary(theta, grad)
-    for it in range(opts.max_inner + 1):
-        stop |= it == opts.max_inner
+    for it in range(max_inner + 1):
+        stop |= it == max_inner
         if stop.any():
             for dst, src in zip(out, (theta, g, obj)):
                 dst[rows[stop]] = src[stop]
             keep = ~stop
-            rows, lam, rho, theta, grad, f, g, obj, eta, stall = (
-                a[keep] for a in (rows, lam, rho, theta, grad, f, g, obj, eta, stall)
+            rows, lam, rho, theta, grad, f, g, obj, stall = (
+                a[keep] for a in (rows, lam, rho, theta, grad, f, g, obj, stall)
             )
             if not rows.size:
                 break
         direction = geo.direction(theta, grad, lam, rho)
-        ok, theta_n, f_n = _backtrack(geo, theta, direction, grad, f, eta, lam, rho)
+        ok, theta, f_n = _backtrack(geo, theta, direction, grad, f, lam, rho)
         delta_f = f_n - f
-        theta_0, grad_0 = theta, grad
-        theta = theta_n
         f, g, grad, obj = geo.grads(theta, lam, rho)
         flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
         stall = np.where(flat, stall + 1, 0)
         stop = ~ok | (stall >= 3) | geo.stationary(theta, grad)
-        eta = geo.next_step(eta, theta - theta_0, grad - grad_0)
     return out
 
 
-def _backtrack(geo, theta, direction, grad, f, eta, lam, rho):
+def _backtrack(geo, theta, direction, grad, f, lam, rho):
     """Armijo backtracking from each row along its direction: a trial point x
     passes when it raises the AL by at least 1e-4 grad . (x - theta), the
     first-order gain of the projected step, floored at 0.
 
-    Trial j steps by eta / 2^j, for j < 60 while that is at least 1e-14; the
-    first trial passing the Armijo test is taken.  Trials are independent, so
-    each round tries a block of them per searching row as extra batch rows.
-    Returns (accepted, theta, f) per row (the current point where no trial
-    passed) and sets eta to each accepted step."""
+    Trial j steps by 2^-j for j = 0..46, the steps down to the last one of at
+    least 1e-14; the first trial passing the Armijo test is taken.  Trials
+    are independent, so each round tries a block of them per searching row as
+    extra batch rows.  Returns (accepted, theta, f) per row (the current
+    point where no trial passed)."""
     n = len(theta)
     rows = np.arange(n)  # rows still searching
     first = 0
-    for size in (1, 8, 16, 35):  # trials per searching row and round, 60 in all
-        j = np.arange(first, first + size)
-        steps = eta[rows, None] / 2.0**j
-        valid = (steps >= 1e-14) | (j == 0)
+    for size in (1, 8, 16, 22):  # trials per searching row and round, 47 in all
+        steps = np.tile(0.5 ** np.arange(first, first + size), len(rows))
         src = np.repeat(rows, size)
-        th = geo.project(theta[src] + steps.reshape(-1, 1) * direction[src])
+        th = geo.project(theta[src] + steps[:, None] * direction[src])
         obj, gt = geo.measure(*geo.point(th))
         ft = _al(obj, gt, lam[src], rho[src])
         gain = np.maximum(_dot(grad[src], th - theta[src]), 0.0)
-        hit = (ft + 1e-18 >= f[src] + 1e-4 * gain).reshape(-1, size) & valid
+        hit = (ft + 1e-18 >= f[src] + 1e-4 * gain).reshape(-1, size)
         found = hit.any(axis=1)
         if first == 0:
             if found.all():
                 return found, th, ft
             ok = np.zeros(n, dtype=bool)
             theta_n, f_n = theta.copy(), f.copy()
-        k = hit.argmax(axis=1)[found]
-        take = np.flatnonzero(found) * size + k
+        take = np.flatnonzero(found) * size + hit.argmax(axis=1)[found]
         done = rows[found]
         ok[done] = True
         theta_n[done], f_n[done] = th[take], ft[take]
-        eta[done] = steps[found, k]
-        rows = rows[~found & valid[:, -1]]
+        rows = rows[~found]
         first += size
         if not rows.size:
             break
@@ -664,7 +654,7 @@ def _multistart(geo, starts, raw, opts):
         if not running.any():
             break
         theta[running], g[running], obj[running] = _ascend(
-            geo, theta[running], lam[running], rho[running], opts)
+            geo, theta[running], lam[running], rho[running], opts.max_inner)
         feas = np.abs(g).max(axis=1, initial=0.0)
         feas_hist.append(feas)
         stop = feas < opts.feasibility_tol
@@ -770,30 +760,31 @@ def maximize_entropy(
     )
 
 
-class _InsertionGeometry:
-    """Rows r in [0,1]^k of a block inserted into the k-block graphon (c, p),
-    for the AL driver's ascent with no constraints: a row's objective is the
-    new block's component of mass_chain_rule(c', dL/dc') at mass 0, for
-    L = S - lam . t (L = -lam . t without entropy), the first-order gain of
-    moving mass onto that block.
+class _InsertionGeometry(_GraphonGeometry):
+    """Rows r in [_VALUE_FLOOR, 1 - _VALUE_FLOOR]^k of a block inserted into
+    the k-block graphon (c, p), for the AL driver's ascent with no
+    constraints: a row's objective is the new block's component of
+    mass_chain_rule(c', dL/dc') at mass 0, for L = S - lam . t (L = -lam . t
+    without entropy), the first-order gain of moving mass onto that block.
     Its gradient in r vanishes with the block's mass, so it is read as the
     new row's value gradient at mass _INSERTION_MASS over that mass, which is
-    exact up to a relative O(_INSERTION_MASS).  Rows step along the gradient
-    itself, each row's first trial step set by Barzilai-Borwein and capped at
-    steps[1]."""
-
-    steps = (0.05, 1e3)
-    gtol = _GraphonGeometry.gtol
-    stationary = _GraphonGeometry.stationary
+    exact up to a relative O(_INSERTION_MASS).  Rows take _GraphonGeometry's
+    projected-Newton steps, with r as its own reduced coordinates (the
+    identity `_basis`)."""
 
     def __init__(self, c, p, evals, lam, entropy=True):
         self.c, self.p, self.evals, self.lam, self.entropy = c, p, evals, lam, entropy
+        self.near_lo, self.near_hi = 2.0 * _VALUE_FLOOR, 1.0 - 2.0 * _VALUE_FLOOR
 
     def point(self, theta):
         return (theta,)
 
     def project(self, theta):
         return np.minimum(np.maximum(theta, _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
+
+    def _basis(self, theta):
+        n, k = theta.shape
+        return np.broadcast_to(np.eye(k), (n, k, k))
 
     def _lagrangian(self, r, mass):
         """(c', dL/dV', dL/dc') of the (k+1)-block embeddings with new rows r
@@ -822,17 +813,6 @@ class _InsertionGeometry:
         c, dv, dc = self._lagrangian(np.concatenate([theta, theta]), mass)
         gain = mass_chain_rule(c[:n], dc[:n])[:, -1]
         return gain, np.empty((n, 0)), dv[n:, k, :k] / _INSERTION_MASS, gain
-
-    def direction(self, theta, grad, lam, rho):
-        return grad
-
-    def next_step(self, eta, dth, dgr):
-        """Barzilai-Borwein (spectral) step for the next trial, capped at
-        steps[1]."""
-        denom = -_dot(dth, dgr)
-        bb = denom > 1e-18
-        eta = np.where(bb, _dot(dth, dth) / np.where(bb, denom, 1.0), eta)
-        return np.minimum(np.maximum(eta, 1e-10), self.steps[1])
 
 
 def _theta_grad(ev, c, p) -> np.ndarray:
@@ -888,11 +868,11 @@ def _insertion_certificate(q: StepGraphon, evals, gaps=None) -> tuple[float | No
     refuses, the ascent is skipped and the gain is None.
 
     The gain of a new block of mass 0 and row r is maximized over r in [0,1]^k
-    by a batched projected ascent from q's own rows, whose gains are the mass
-    components of the stationarity residual, and _INSERTION_RANDOM_ROWS
-    seeded random rows.  A local, first-order test (the vertex form of the
-    Euler-Lagrange equations): it says that no block insertion helps to first
-    order, not that no larger m does better."""
+    by a batched projected-Newton ascent from q's own rows, whose gains are
+    the mass components of the stationarity residual, and
+    _INSERTION_RANDOM_ROWS seeded random rows.  A local, first-order test (the
+    vertex form of the Euler-Lagrange equations): it says that no block
+    insertion helps to first order, not that no larger m does better."""
     if gaps is None:
         lam, kkt = _multipliers(q, evals)
         gain = _insertion_gain(q, evals, lam)
@@ -913,7 +893,7 @@ def _insertion_gain(q: StepGraphon, evals, lam, entropy=True) -> float:
         [q.values, np.random.default_rng(0).uniform(0.0, 1.0, (_INSERTION_RANDOM_ROWS, q.m))])
     n = len(rows)
     _, _, gains = _ascend(geo, geo.project(rows), np.zeros((n, 0)), np.zeros(n),
-                          OptimizerOptions(max_inner=_INSERTION_STEPS))
+                          _INSERTION_STEPS)
     return float(gains.max())
 
 

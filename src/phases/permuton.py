@@ -356,13 +356,15 @@ def permuton_pattern_density(
     method="exact" integrates cell by cell with exact within-cell tie
     weights, as O(r^3) matrix products on the r x r grid (pattern length
     <= 3, resolution <= 40); method="montecarlo" samples k points per draw
-    and reads off the induced pattern.
+    and reads off the induced pattern, over samples >= 1 draws.
     """
     k = pattern.k
     if method == "exact":
         density = _PatternDensity(pattern, gamma.k)
         return 1.0 if k == 1 else float(density(gamma.g[None])[0][0])
     if method == "montecarlo":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if k > PLAIN_PATTERN_CAP:
             raise ValueError(f"pattern length above cap {PLAIN_PATTERN_CAP}")
         if k == 1:
@@ -473,7 +475,6 @@ class _PermutonGeometry:
     reported gap is that of a grid with uniform marginals."""
 
     keys = ("g",)
-    steps = (1.0,)
     gtol = 1e-10
 
     def __init__(self, constraints, res: int):
@@ -513,9 +514,6 @@ class _PermutonGeometry:
             gaps[:, j] = t - self.targets[j]
             grad = grad - (lam[:, j] + rho * gaps[:, j])[:, None, None] * dt
         return _al(h, gaps, lam, rho), gaps, grad.reshape(len(g), -1), h
-
-    def next_step(self, eta, dth, dgr):
-        return np.ones_like(eta)
 
     def direction(self, theta, grad, lam, rho):
         """Newton-CG directions, solved again while a cell near the floor that

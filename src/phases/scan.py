@@ -190,12 +190,15 @@ def phase_scan(
     (never dropped).  Cells are solved one after another, column by column,
     each warm-started from the graphons of its left and lower neighbors.
     Transition candidates are cells where a centered finite-difference
-    parameter derivative exceeds spike_factor times the grid median."""
+    parameter derivative exceeds spike_factor (positive and finite) times the
+    grid median."""
     nx, ny = resolution
     if nx < 1 or ny < 1 or nx > RESOLUTION_CAP or ny > RESOLUTION_CAP:
         raise ValueError(f"resolution must be within 1..{RESOLUTION_CAP} per axis")
     # checked here, not per cell: _solve_cell reads a ValueError as a target
     # outside the domain
+    if not 0.0 < spike_factor < math.inf:
+        raise ValueError(f"spike factor must be positive and finite, got {spike_factor}")
     for p in patterns:
         _check_vertex_cap(p)
     opts = opts or OptimizerOptions()

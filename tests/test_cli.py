@@ -483,6 +483,33 @@ def test_perm_density_of_a_permuton_file(tmp_path, capsys, method, tol):
     assert doc["density"] == pytest.approx(0.5, abs=tol)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--samples", "0"], "argument --samples: must be at least 1, got 0"),
+    (["--samples", "-3"], "argument --samples: must be at least 1, got -3"),
+    (["--method", "exakt"], "argument --method: invalid choice: 'exakt'"),
+])
+def test_perm_density_option_is_refused_before_the_manifest(tmp_path, capsys, args, message):
+    # --samples 0 printed "density": NaN, which is not JSON, and exited 0
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(GridPermuton.uniform(4).to_dict()))
+    assert run(tmp_path, "perm-density", "--permuton", str(path), "--pattern", "12",
+               "--method", "montecarlo", *args, "--out", "pd.json") == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gamma.json"]
+
+
+@pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+def test_spike_factor_that_is_not_positive_and_finite_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, factor):
+    # -1 flagged all 4 cells of a 2x2 grid and nan none, both with exit 0
+    solved = []
+    monkeypatch.setattr(scan, "constrained_entropy", lambda *a, **k: solved.append(a))
+    assert run(tmp_path, "scan", "--grid", "2x2", "--spike-factor", factor, "--out", "s.csv") == 1
+    assert f"argument --spike-factor: must be positive and finite, got {factor}" \
+        in capsys.readouterr().err
+    assert solved == [] and list(tmp_path.iterdir()) == []
+
+
 def test_toml_config_reads_as_the_flags(tmp_path, capsys):
     pytest.importorskip("tomllib")
     cfg = tmp_path / "cfg.toml"

@@ -353,6 +353,31 @@ def test_insertion_gain_is_the_derivative_of_inserting_a_block(m):
             np.testing.assert_allclose(grad[:, j], fd, rtol=1e-5, atol=1e-7)
 
 
+# every row of [0,1] at step 1/400, and of [0,1]^2 at step 1/200
+GRID_ROWS = {1: np.linspace(0.0, 1.0, 401)[:, None],
+             2: np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 201)] * 2), axis=-1).reshape(-1, 2)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([1, 2]), tri=st.booleans(), entropy=st.booleans(), data=st.data())
+def test_insertion_ascent_reaches_the_best_row_of_a_grid(m, tri, entropy, data):
+    # gradient steps with Barzilai-Borwein sizes stopped short of the box
+    # where the gain, with no entropy a polynomial in the row, is largest
+    evals = [DensityEvaluator(EDGE), *([DensityEvaluator(TRI)] if tri else [])]
+    c = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m), label="c"))
+    upper = data.draw(st.lists(st.floats(0.02, 0.98), min_size=m * (m + 1) // 2,
+                               max_size=m * (m + 1) // 2), label="p")
+    p = np.empty((m, m))
+    p[np.triu_indices(m)] = upper
+    p.T[np.triu_indices(m)] = upper
+    lam = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(evals),
+                                      max_size=len(evals)), label="lam"))
+    q = StepGraphon(c / c.sum(), p)
+    geo = _InsertionGeometry(q.masses, q.values, evals, lam, entropy)
+    best_row = geo.measure(geo.project(GRID_ROWS[m]))[0].max()
+    assert optimizer._insertion_gain(q, evals, lam, entropy) >= best_row - 1e-9
+
+
 def _half_residual(q, pats, alpha):
     g = np.array([subgraph_density(q, pat) for pat in pats]) - alpha
     return -0.5 * float(g @ g)

@@ -130,6 +130,13 @@ class TestPermutonDensities:
         )
         assert abs(mc - 0.75) < 4 * math.sqrt(0.75 * 0.25 / 300_000)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_montecarlo_without_samples_is_refused(self, samples):
+        # 0 draws averaged to NaN, with two RuntimeWarnings
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            permuton_pattern_density(GridPermuton.uniform(4), P12, method="montecarlo",
+                                     samples=samples)
+
     def test_pattern_sum_is_one(self, rng):
         for _ in range(3):
             gamma = random_grid_permuton(rng, 8)

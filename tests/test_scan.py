@@ -116,6 +116,17 @@ def test_pattern_above_vertex_cap_is_rejected_before_any_cell(monkeypatch):
     assert solved == []
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+def test_spike_factor_that_is_not_positive_and_finite_is_rejected_before_any_cell(
+        monkeypatch, factor):
+    # -1 flagged every cell of a 2x2 grid and nan none
+    solved = []
+    monkeypatch.setattr(scan, "constrained_entropy", lambda *a, **k: solved.append(a))
+    with pytest.raises(ValueError, match="spike factor must be positive and finite"):
+        phase_scan(PATTERNS, (0.4, 0.44), (0.03, 0.05), (2, 2), FAST, spike_factor=factor)
+    assert solved == []
+
+
 def test_domain_error_marks_cell_failed(monkeypatch):
     def out_of_domain(*args, **kwargs):
         raise ValueError("target outside the domain")
