@@ -73,6 +73,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_finite(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -435,7 +442,7 @@ def _common(parser):
     parser.add_argument("--out", help="primary output file (default: stdout)")
     parser.add_argument("--manifest", help="manifest path (default: derived)")
     parser.add_argument("--config", help="JSON/TOML config or a previous manifest")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=nonnegative_int, default=0)
     parser.add_argument("--threads", type=int, default=1,
                         help="recorded in the manifest only; every run is serial")
 

@@ -12,8 +12,9 @@ The chain draws its proposals in blocks: one generator call with per-element
 bounds (n, n - 1, n, n - 1, ...) consumes the generator as one pair of scalar
 draws per proposal does.  Each vertex's neighbourhood is a Python-int bitset,
 so the common neighbours of u and v are the popcount of an AND of two ints,
-an accepted toggle flips two bits, and each proposal is decided on Python
-ints.  A chain therefore retains the samples, acceptance and stalled flag of
+an accepted toggle flips two bits, and one loop decides each proposal on
+local Python ints; the 0/1 matrix is unpacked from the bitsets for samples
+only.  A chain therefore retains the samples, acceptance and stalled flag of
 the single-proposal chain with the same seed.
 """
 
@@ -69,6 +70,12 @@ class ChainConfig:
     n_samples: int = 10
 
     def __post_init__(self):
+        for name in ("n", "burn_in", "sample_interval", "n_samples"):
+            value = getattr(self, name)
+            if value is None and name in ("burn_in", "sample_interval"):
+                continue  # the default schedule
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 4:
             raise ValueError("chains need n >= 4")
         if self.constraints.delta <= 0:
@@ -143,22 +150,23 @@ class _DensityTracker:
     density is its count over `denoms`, and window membership is decided on
     the counts against the exact integer `windows`.
 
-    Edge, triangle, and k-star counts are maintained incrementally from the
-    degrees and the neighbourhood bitsets `rows`: bit v of the Python int
-    rows[u] is set when u and v are adjacent, so u and v have
-    (rows[u] & rows[v]).bit_count() common neighbours.  The 0/1 matrix `adj`
-    is kept beside them for the samples and for any other pattern, which
+    The graph is held as neighbourhood bitsets `rows`: bit v of the Python
+    int rows[u] is set when u and v are adjacent, so u has
+    rows[u].bit_count() neighbours and u and v have
+    (rows[u] & rows[v]).bit_count() common neighbours.  Edge, triangle, and
+    k-star counts are updated from them per toggle.  The 0/1 matrix is
+    unpacked from the bitsets for a sample and for any other pattern, which
     forces a full recount per proposal and is only allowed at small n.
     """
 
     def __init__(self, adj: np.ndarray, constraints: ConstraintVector):
-        self.adj = adj = adj.astype(np.int32)
-        self.n = adj.shape[0]
+        adj = adj.astype(np.int32)
+        self.n = n = adj.shape[0]
         self.kinds: list[tuple[str, int]] = []
         for pat in constraints.patterns:
             kind, r = _pattern_kind(pat)
             if kind not in _COUNTED:
-                if self.n > GENERIC_N_CAP:
+                if n > GENERIC_N_CAP:
                     raise ValueError(
                         "incremental updates support edge/triangle/k-star "
                         f"patterns; generic patterns need n <= {GENERIC_N_CAP}"
@@ -167,7 +175,7 @@ class _DensityTracker:
                 kind = "generic"
             self.kinds.append((kind, r))
         self.patterns = constraints.patterns
-        self.denoms = [_count_denominator(p, self.n) for p in self.patterns]
+        self.denoms = [_count_denominator(p, n) for p in self.patterns]
         self.windows = [
             _count_window(t, constraints.delta, d)
             for (_, t), d in zip(constraints.terms, self.denoms)
@@ -177,25 +185,25 @@ class _DensityTracker:
             for row in adj.astype(bool)
         ]
         self.edge_count = int(adj.sum()) // 2
-        self.degrees = adj.sum(axis=1).tolist()
         # each triangle has three edges, and is a common neighbour across each
         self.triangle_count = sum(
             (self.rows[u] & self.rows[v]).bit_count() for u, v in zip(*np.triu(adj).nonzero())
         ) // 3
         self.star_arities = sorted({k for kind, k in self.kinds if kind == "star"})
         self.star_sums = {
-            r: sum(_falling(d, r) for d in self.degrees) for r in self.star_arities
+            r: sum(_falling(d, r) for d in adj.sum(axis=1).tolist()) for r in self.star_arities
         }
-        # each kind's window, intersected over repeats of a pattern, for
-        # try_toggle; `inside` reads `windows` in constraint order
-        merged: dict[tuple[str, int], tuple[int, int]] = {}
+        # each kind's window, intersected over repeats of a pattern; `inside`
+        # reads `windows` in constraint order.  An absent edge or triangle
+        # window is every count a graph can have
+        merged = {("edge", 0): (0, math.comb(n, 2)), ("triangle", 0): (0, math.comb(n, 3))}
         for key, (lo, hi) in zip(self.kinds, self.windows):
             lo0, hi0 = merged.get(key, (lo, hi))
             merged[key] = (max(lo, lo0), min(hi, hi0))
-        self._edge_window = merged.get(("edge", 0))
-        self._triangle_window = merged.get(("triangle", 0))
+        self.edge_window = merged["edge", 0]
+        self.triangle_window = merged["triangle", 0]
         self._star_windows = [(r, *merged["star", r]) for r in self.star_arities]
-        self._generic_windows = [
+        self.generic_windows = [
             (p, *w) for p, (kind, _), w in zip(self.patterns, self.kinds, self.windows)
             if kind == "generic"
         ]
@@ -211,8 +219,14 @@ class _DensityTracker:
             + _falling(dv + sign, r) - _falling(dv, r)
         )
 
+    def adjacency(self) -> np.ndarray:
+        """The 0/1 adjacency matrix, unpacked from the bitsets."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), np.uint8)
+        return np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
+
     def _toggled_adj(self, u: int, v: int) -> np.ndarray:
-        adj = self.adj.copy()
+        adj = self.adjacency()
         adj[u, v] = adj[v, u] = 1 - adj[u, v]
         return adj
 
@@ -226,14 +240,14 @@ class _DensityTracker:
             elif kind == "star":
                 out.append(self.star_sums[r])
             else:
-                out.append(self._generic_count(self.adj, self.patterns[j]))
+                out.append(self._generic_count(self.adjacency(), self.patterns[j]))
         return out
 
     def toggled_counts(self, u: int, v: int) -> list[int]:
         """Counts after toggling edge (u, v), without mutating state."""
         ru, rv = self.rows[u], self.rows[v]
         sign = 1 - 2 * (ru >> v & 1)
-        du, dv = self.degrees[u], self.degrees[v]
+        du, dv = ru.bit_count(), rv.bit_count()
         out = []
         generic_adj = None
         for j, (kind, r) in enumerate(self.kinds):
@@ -249,33 +263,23 @@ class _DensityTracker:
                 out.append(self._generic_count(generic_adj, self.patterns[j]))
         return out
 
-    def try_toggle(self, u: int, v: int) -> bool:
-        """Toggle edge (u, v) if every count stays inside its window, and say
-        whether it did.  The same decision as `inside(toggled_counts(u, v))`,
-        made on Python ints with no NumPy call unless a generic pattern needs
-        its recount."""
-        rows = self.rows
-        ru = rows[u]
+    def admit(self, u: int, v: int) -> bool:
+        """Whether the star and generic windows hold once edge (u, v) toggles;
+        if they do, the star sums move with the toggle.  The chain calls this
+        once the edge and triangle windows hold, and then flips the two bits
+        and moves those two counts itself."""
+        ru, rv = self.rows[u], self.rows[v]
         sign = 1 - 2 * (ru >> v & 1)
-        window = self._edge_window
-        if window is not None and not window[0] <= self.edge_count + sign <= window[1]:
+        du, dv = ru.bit_count(), rv.bit_count()
+        sums = {r: self._star_sum_after(r, du, dv, sign) for r in self.star_arities}
+        if not all(lo <= sums[r] <= hi for r, lo, hi in self._star_windows):
             return False
-        window = self._triangle_window
-        if window is not None and not (
-            window[0] <= self.triangle_count + sign * (ru & rows[v]).bit_count() <= window[1]
-        ):
-            return False
-        if self._star_windows:
-            du, dv = self.degrees[u], self.degrees[v]
-            for r, lo, hi in self._star_windows:
-                if not lo <= self._star_sum_after(r, du, dv, sign) <= hi:
-                    return False
-        if self._generic_windows:
+        if self.generic_windows:
             adj = self._toggled_adj(u, v)
-            for pattern, lo, hi in self._generic_windows:
+            for pattern, lo, hi in self.generic_windows:
                 if not lo <= self._generic_count(adj, pattern) <= hi:
                     return False
-        self.apply_toggle(u, v)
+        self.star_sums = sums
         return True
 
     def inside(self, counts: list[int]) -> bool:
@@ -295,21 +299,18 @@ class _DensityTracker:
     def apply_toggle(self, u: int, v: int) -> None:
         """Toggle edge (u, v) and update the counts: with s = +1 for an added
         edge and -1 for a removed one, the triangle count moves by s times the
-        common neighbours of u and v, the degrees of u and v by s, and bit v
-        of rows[u] and bit u of rows[v] flip."""
+        common neighbours of u and v, the k-star sums by the change in the
+        endpoints' falling factorials, and bit v of rows[u] and bit u of
+        rows[v] flip."""
         rows = self.rows
         ru, rv = rows[u], rows[v]
         sign = 1 - 2 * (ru >> v & 1)
-        du, dv = self.degrees[u], self.degrees[v]
-        for r in self.star_arities:
-            self.star_sums[r] = self._star_sum_after(r, du, dv, sign)
+        du, dv = ru.bit_count(), rv.bit_count()
+        self.star_sums = {r: self._star_sum_after(r, du, dv, sign) for r in self.star_arities}
         self.edge_count += sign
         self.triangle_count += sign * (ru & rv).bit_count()
-        self.degrees[u] = du + sign
-        self.degrees[v] = dv + sign
         rows[u] = ru ^ 1 << v
         rows[v] = rv ^ 1 << u
-        self.adj[u, v] = self.adj[v, u] = sign > 0
 
 
 def _initial_graphon(constraints: ConstraintVector) -> StepGraphon:
@@ -383,29 +384,45 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
     sweep = n * (n - 1) // 2
     total = cfg.total_steps
     # per-element bounds draw exactly what alternating rng.integers(n) and
-    # rng.integers(n - 1) calls draw, one proposal (u, v) per pair
+    # rng.integers(n - 1) calls draw, one proposal (u, v) per pair, wherever
+    # the draws are cut: at each block's end and at each sample
     bounds = np.tile([n, n - 1], _BLOCK)
+    sample_steps = [cfg.sample_step(k) for k in range(cfg.n_samples)]
+    stops = sorted({*range(_BLOCK, total, _BLOCK), *sample_steps, total})
     graphs: list[FiniteGraph] = []
     rows: list[np.ndarray] = []
-    try_toggle = tracker.try_toggle
+    # the loop below reads locals only, and leaves star and generic windows to `admit`
+    bitsets = tracker.rows
+    edges, triangles = tracker.edge_count, tracker.triangle_count
+    (edge_lo, edge_hi), (tri_lo, tri_hi) = tracker.edge_window, tracker.triangle_window
+    admit = tracker.admit if tracker.star_arities or tracker.generic_windows else None
     accepted = 0
     last_accept = 0  # step of the last accepted toggle; rejections since set stalled
     stalled = False
-    next_sample = cfg.sample_step(0)
-    for start in range(0, total, _BLOCK):
-        k = min(_BLOCK, total - start)
-        draws = iter(rng.integers(bounds[: 2 * k]).tolist())
-        for step, u, v in zip(range(start + 1, start + k + 1), draws, draws):
-            if v >= u:
-                v += 1
-            if try_toggle(u, v):
-                accepted += 1
-                stalled = stalled or step - 1 - last_accept >= sweep
-                last_accept = step
-            while step >= next_sample and len(graphs) < cfg.n_samples:
-                graphs.append(FiniteGraph(tracker.adj))
-                rows.append(tracker.densities())
-                next_sample = cfg.sample_step(len(graphs))
+    done = 0
+    for stop in stops:
+        draws = rng.integers(bounds[: 2 * (stop - done)])
+        draws[1::2] += draws[1::2] >= draws[::2]  # v skips u
+        pairs = iter(draws.tolist())
+        for step, u, v in zip(range(done + 1, stop + 1), pairs, pairs):
+            ru = bitsets[u]
+            sign = 1 - 2 * (ru >> v & 1)
+            e = edges + sign
+            if edge_lo <= e <= edge_hi:
+                rv = bitsets[v]
+                t = triangles + sign * (ru & rv).bit_count()
+                if tri_lo <= t <= tri_hi and (admit is None or admit(u, v)):
+                    bitsets[u] = ru ^ 1 << v
+                    bitsets[v] = rv ^ 1 << u
+                    edges, triangles = e, t
+                    accepted += 1
+                    stalled = stalled or step - last_accept > sweep
+                    last_accept = step
+        done = stop
+        tracker.edge_count, tracker.triangle_count = edges, triangles
+        while len(graphs) < cfg.n_samples and sample_steps[len(graphs)] <= stop:
+            graphs.append(FiniteGraph(tracker.adjacency()))
+            rows.append(tracker.densities())
     stalled = stalled or total - last_accept >= sweep
     if stalled:
         logger.warning(

@@ -405,6 +405,19 @@ def test_chains_below_one_is_a_usage_error(tmp_path, capsys, chains):
     assert not out_dir.exists()  # neither samples.csv nor a manifest
 
 
+@pytest.mark.parametrize("sub, args", [
+    ("sample", ["--n", "12", "--eps", "0.5", "--tau", "0.125", "--out-dir", "s"]),
+    ("optimize", ["--eps", "0.4", "--tau", "0.05"]),
+    ("perm-optimize", ["--constraint", "12=0.4"]),
+])
+def test_negative_seed_is_refused_before_the_manifest(tmp_path, capsys, sub, args):
+    # sample exited 1 with numpy's "expected non-negative integer", naming no
+    # flag; optimize and perm-optimize refused it after writing the manifest
+    assert run(tmp_path, sub, *args, "--seed", "-1", "--out", "o.json") == 1
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["2y2", "2x", "0x2", "2x2x2"])
 def test_malformed_grid_is_refused_before_the_manifest(tmp_path, capsys, grid):
     # 2y2 failed in int() with a message naming neither the flag nor the form

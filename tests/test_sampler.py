@@ -49,6 +49,8 @@ CHAIN_PATTERNS = {
     "3star": (SubgraphPattern.star(3),),
     "edge-4cycle": (EDGE, SubgraphPattern.cycle(4)),  # generic: recounted
     "edge-edge-triangle": (EDGE, EDGE, TRI),  # a repeat: both windows hold
+    "edge": (EDGE,),  # no triangle window
+    "triangle": (TRI,),  # no edge window
 }
 
 
@@ -223,6 +225,23 @@ class TestChainConfig:
             ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=burn_in,
                         sample_interval=interval, n_samples=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.5), ("n", True), ("n", None), ("burn_in", 10.5), ("sample_interval", 2.0),
+        ("n_samples", 2.5), ("n_samples", "3"),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # a float ran until the chain failed with "'float' object cannot be
+        # interpreted as an integer", naming no field
+        fields = {"n": 10, "constraints": edge_only(0.5, 0.1), "burn_in": 50,
+                  "sample_interval": 20, "n_samples": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            ChainConfig(**fields)
+
+    def test_accepts_numpy_integers_and_the_default_schedule(self):
+        cfg = ChainConfig(n=np.int64(10), constraints=edge_only(0.5, 0.1),
+                          n_samples=np.int32(2))
+        assert (cfg.burn_in_steps, cfg.interval_steps, cfg.total_steps) == (5000, 100, 5100)
+
     def test_rejects_a_chain_without_proposals(self):
         with pytest.raises(ValueError, match="no proposals"):
             ChainConfig(n=10, constraints=edge_only(0.5, 0.1), burn_in=0, sample_interval=0)
@@ -256,18 +275,29 @@ class TestChainConfig:
     ])
     def test_chain_ends_at_its_last_sample(self, monkeypatch, burn_in, interval, n_samples,
                                            proposals):
-        calls = []
-        try_toggle = _DensityTracker.try_toggle
+        # the chain draws its proposals as pairs of array-bound integers; the
+        # repair before it draws scalar-bound ones
+        drawn = 0
+        default_rng = np.random.default_rng
 
-        def counted(tracker, u, v):
-            calls.append((u, v))
-            return try_toggle(tracker, u, v)
+        class CountedGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
 
-        monkeypatch.setattr(_DensityTracker, "try_toggle", counted)
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def integers(self, bounds, *args, **kwargs):
+                nonlocal drawn
+                if isinstance(bounds, np.ndarray):
+                    drawn += len(bounds) // 2
+                return self.rng.integers(bounds, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountedGenerator)
         cfg = ChainConfig(n=10, constraints=edge_only(0.5, 0.1), seed=4, burn_in=burn_in,
                           sample_interval=interval, n_samples=n_samples)
         run = sample_constrained(cfg)
-        assert cfg.total_steps == len(calls) == proposals
+        assert cfg.total_steps == drawn == proposals
         assert len(run) == n_samples
 
     @pytest.mark.parametrize("n, terms, delta, seed, burn_in, interval, n_samples, digest", [
@@ -470,20 +500,20 @@ class TestBlockChain:
             ((EDGE, 0.5), (TRI, 0.1), (SubgraphPattern.star(2), 0.2),
              (SubgraphPattern.star(3), 0.1)), 0.05,
         )
-        tracker = _DensityTracker(random_graph(n, p, rng), cons)
+        adj = random_graph(n, p, rng)
+        tracker = _DensityTracker(adj, cons)
         for _ in range(toggles):
             u, v = rng.choice(n, 2, replace=False).tolist()
-            if rng.random() < 0.5:
-                tracker.apply_toggle(u, v)
-            else:
-                accepted = tracker.inside(tracker.toggled_counts(u, v))
-                assert tracker.try_toggle(u, v) == accepted
-        adj = tracker.adj
+            toggled = tracker.toggled_counts(u, v)
+            tracker.apply_toggle(u, v)
+            adj[u, v] = adj[v, u] = 1 - adj[u, v]
+            assert tracker.counts() == toggled
         assert tracker.rows == [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in adj]
+        assert np.array_equal(tracker.adjacency(), adj)
         rows = tracker.rows
         common = [[(rows[u] & rows[v]).bit_count() for v in range(n)] for u in range(n)]
         assert np.array_equal(np.array(common), adj @ adj)
-        assert tracker.degrees == adj.sum(axis=1).tolist()
+        assert [row.bit_count() for row in rows] == adj.sum(axis=1).tolist()
         assert tracker.counts() == _DensityTracker(adj.copy(), cons).counts()
 
     @CHAINS
@@ -501,7 +531,8 @@ class TestBlockChain:
     # runs of exactly n (n - 1) / 2 rejections, the shortest that set
     # stalled, between two accepted toggles and at the end of the chain;
     # then longest runs one shorter, between accepts and at the end, which
-    # must not; last, a 4-cycle window that rejects some toggles
+    # must not; a 4-cycle window that rejects some toggles; an edge window
+    # alone and a triangle window alone; last, bitsets of two 64-bit words
     @example(name="3star", n=5, p=0.3688549474916448, delta=0.05, burn_in=26,
              interval=46, n_samples=2, block=3, seed=2988995438)
     @example(name="edge-triangle", n=6, p=0.6765504518087084, delta=0.1, burn_in=186,
@@ -514,6 +545,12 @@ class TestBlockChain:
              interval=90, n_samples=2, block=3, seed=137923500)
     @example(name="edge-4cycle", n=7, p=0.7614874117773833, delta=0.2, burn_in=8,
              interval=100, n_samples=4, block=1024, seed=564533598)
+    @example(name="edge", n=9, p=0.5, delta=0.05, burn_in=300, interval=40, n_samples=3,
+             block=3, seed=11)
+    @example(name="triangle", n=9, p=0.5, delta=0.05, burn_in=300, interval=40, n_samples=3,
+             block=3, seed=11)
+    @example(name="edge-triangle", n=70, p=0.3, delta=0.002, burn_in=300, interval=100,
+             n_samples=2, block=1024, seed=8)
     def test_chain_equals_single_proposal_chain(
         self, name, n, p, delta, burn_in, interval, n_samples, block, seed
     ):
