@@ -21,7 +21,11 @@ simplex, and a Newton-KKT finish of the feasible rows), and
 directions on the grids with zero row and column sums, which keep the
 marginals uniform up to rounding, so Sinkhorn scaling runs only on the
 starts and the finished grids).  The Armijo test's gain is the driver's
-own, read from the geometry's gradient (`_backtrack`).
+own, read from the geometry's gradient (`_backtrack`), and so is the
+stationarity tolerance, per row, which it compares with the geometry's
+measure (`_gtol`): an AL round of a row that is not yet feasible is solved
+inexactly, to max(gtol, _INEXACT_GTOL / rho), and a feasible row to the
+geometry's floor gtol.
 
 `constrained_entropy` escalates the podality ansatz m = 1, 2, ... and stops
 at an m whose best graphon passes a block-insertion certificate.  At a
@@ -68,6 +72,9 @@ _SYMMETRIC_TOL = 5e-3  # how far a symmetric bipodal is from equal halves and di
 _BASIN_TOL = 1e-3  # canonical solutions that round alike on this grid share a basin
 _PENALTY_INIT = 10.0  # each start's AL penalty, multiplied by _PENALTY_GROWTH
 _PENALTY_GROWTH = 5.0  # after every round that does not stop the start
+# an infeasible row's ascent stops at stationarity max(gtol, _INEXACT_GTOL / rho)
+# (_gtol): early AL rounds are solved only as far as their penalty warrants
+_INEXACT_GTOL = 1e-3
 # The block-insertion certificate (_insertion_certificate).  Moving mass
 # delta <= 1 onto a new block raises the Lagrangian by delta * gain + O(delta^2),
 # so a gain at most _ESCALATION_TOL starts no m + 1 gain that the escalation
@@ -316,11 +323,12 @@ class _GraphonGeometry:
     objective and constraint gaps of a batch of points, `project` moves rows
     of theta back into the domain, `grads` gives the AL value and gradient,
     `direction` each row's ascent direction, and `finish` yields each final
-    row as (point, objective, gaps); `stationary` says which rows the driver
-    may stop, by the tolerance `gtol`.  The driver alone sets the step size:
-    every row's first trial is a full step along its direction
-    (`_backtrack`).  _InsertionGeometry and phases.permuton define the other
-    geometries.
+    row as (point, objective, gaps); `stationarity` gives each row's measure
+    of how far it is from stationary, which `_ascend` compares with a
+    tolerance of its own, never below the geometry's floor `gtol` (`_gtol`).
+    Only `_backtrack` sets the step size: every row's first trial is a full
+    step along its direction.  _InsertionGeometry and phases.permuton define
+    the other geometries.
 
     Here the direction is projected Newton (Bertsekas 1982) in reduced
     coordinates x: mass directions e_i - e_ref, ref the row's largest mass,
@@ -369,9 +377,9 @@ class _GraphonGeometry:
         u = np.minimum(np.maximum(theta[:, m:], _VALUE_FLOOR), 1.0 - _VALUE_FLOOR)
         return np.concatenate([np.where(floored, w, w * scale[:, None]), u], axis=1)
 
-    def stationary(self, theta, grad):
-        """Rows whose projected-gradient step in theta is below gtol."""
-        return np.abs(self.project(theta + grad) - theta).max(axis=1) < self.gtol
+    def stationarity(self, theta, grad):
+        """Each row's largest projected-gradient step in theta."""
+        return np.abs(self.project(theta + grad) - theta).max(axis=1)
 
     def grads(self, theta, lam, rho):
         """(AL value, gaps, AL gradient in theta, objective) per row."""
@@ -532,19 +540,22 @@ def _theta_grads(c, dv, dc):
     return np.concatenate([mass_chain_rule(c, dc), dv[..., iu0, iu1]], axis=-1)
 
 
-def _ascend(geo, theta, lam, rho, max_inner):
+def _ascend(geo, theta, lam, rho, max_inner, feasibility_tol):
     """Maximize the AL objective from each row of theta by at most max_inner
     steps; returns (theta, g, obj).
 
     Each row steps along geo.direction, with its own Armijo backtracking
     (`_backtrack`) and its own stationarity, stall and failed-step stops, and
-    leaves the batch when it stops."""
+    leaves the batch when it stops.  A row is stationary when
+    geo.stationarity is below its tolerance (`_gtol`), which is loose while
+    the row's worst gap is at or above feasibility_tol and geo.gtol once it
+    is below."""
     n = len(theta)
     out = (np.empty_like(theta), np.empty(lam.shape), np.empty(n))
     rows = np.arange(n)
     f, g, grad, obj = geo.grads(theta, lam, rho)
     stall = np.zeros(n, dtype=int)
-    stop = geo.stationary(theta, grad)
+    stop = geo.stationarity(theta, grad) < _gtol(geo, g, rho, feasibility_tol)
     for it in range(max_inner + 1):
         stop |= it == max_inner
         if stop.any():
@@ -562,8 +573,23 @@ def _ascend(geo, theta, lam, rho, max_inner):
         f, g, grad, obj = geo.grads(theta, lam, rho)
         flat = np.abs(delta_f) < 1e-15 * np.maximum(1.0, np.abs(f))
         stall = np.where(flat, stall + 1, 0)
-        stop = ~ok | (stall >= 3) | geo.stationary(theta, grad)
+        stop = (~ok | (stall >= 3)
+                | (geo.stationarity(theta, grad) < _gtol(geo, g, rho, feasibility_tol)))
     return out
+
+
+def _gtol(geo, g, rho, feasibility_tol):
+    """Each row's stationarity tolerance: geo.gtol, but max(geo.gtol,
+    _INEXACT_GTOL / rho) for a row whose worst gap g is at or above
+    feasibility_tol.  Such a row's AL round is solved only as far as its
+    penalty warrants (Conn, Gould & Toint 1991; Birgin & Martinez 2014,
+    Alg. 4.1), and a row that is feasible has reached geo.gtol, so no start
+    is taken as feasible at a loose point.  A row with no gaps (the insertion
+    ascent's) keeps geo.gtol."""
+    tol = np.full(len(g), geo.gtol)
+    loose = np.abs(g).max(axis=1, initial=0.0) >= feasibility_tol
+    tol[loose] = np.maximum(geo.gtol, _INEXACT_GTOL / rho[loose])
+    return tol
 
 
 def _backtrack(geo, theta, direction, grad, f, lam, rho):
@@ -629,9 +655,13 @@ def _multistart(geo, starts, raw, opts):
     starts and raw are lists of points of the geometry geo.  Feasible raw
     points join the pool as they are.  Each start keeps its own AL
     multipliers and penalty and leaves the batch once feasible or hopeless;
-    geo.finish then turns the rows into solutions.  Returns (best, pool): pool
-    holds the feasible raw records, then one record per start; best is the
-    first record of largest `_rank`.
+    geo.finish then turns the rows into solutions.  Each round's ascent
+    stops an infeasible row at stationarity max(gtol, _INEXACT_GTOL / rho)
+    and a feasible one at gtol (`_gtol`), so a start leaves as feasible
+    only from a point stationary to gtol, or where its ascent stalled or
+    its line search failed.  Returns (best, pool): pool holds the feasible
+    raw records, then one record per start; best is the first record of
+    largest `_rank`.
 
     A start is hopeless from round 5 on, when its worst gap is still above
     1e4 feasibility_tol and has not fallen by 30% over the last three rounds.
@@ -654,7 +684,8 @@ def _multistart(geo, starts, raw, opts):
         if not running.any():
             break
         theta[running], g[running], obj[running] = _ascend(
-            geo, theta[running], lam[running], rho[running], opts.max_inner)
+            geo, theta[running], lam[running], rho[running], opts.max_inner,
+            opts.feasibility_tol)
         feas = np.abs(g).max(axis=1, initial=0.0)
         feas_hist.append(feas)
         stop = feas < opts.feasibility_tol
@@ -893,7 +924,7 @@ def _insertion_gain(q: StepGraphon, evals, lam, entropy=True) -> float:
         [q.values, np.random.default_rng(0).uniform(0.0, 1.0, (_INSERTION_RANDOM_ROWS, q.m))])
     n = len(rows)
     _, _, gains = _ascend(geo, geo.project(rows), np.zeros((n, 0)), np.zeros(n),
-                          _INSERTION_STEPS)
+                          _INSERTION_STEPS, math.inf)
     return float(gains.max())
 
 
@@ -961,7 +992,15 @@ def bounded_signed_max(
 ) -> SignedMaxResult:
     """Maximize one signed density over m-podal graphons subject to another
     signed density being 0 (same engine as maximize_entropy with the
-    objective swapped)."""
+    objective swapped).
+
+    The half-blip constraint t2 = 0 is degenerate: every summand of the
+    signed square is nonnegative, so t2 >= sum_ab c_a^2 c_b^2 (p_ab (1 -
+    p_ab))^2 >= 0, and t2 = 0 is its minimum, reached only with values in
+    {0, 1}.  The penalty rho t2^2 / 2 is quartic near that set, so an AL
+    row's gap falls only as rho^(-2/3) and no start reaches feasibility_tol
+    in max_outer rounds; the answer is a staircase raw seed.  The inexact
+    rounds (_INEXACT_GTOL) keep those starts from being polished."""
     if not 1 <= m <= 12:
         raise ValueError("bounded_signed_max supports m in 1..12")
     opts = opts or OptimizerOptions()

@@ -430,8 +430,9 @@ class PermutonOptimizerOptions:
     """Solver settings that some caller sets: n_starts and seed (the CLI's
     perm-optimize --starts, --seed), feasibility_tol (perfbench/workloads.py
     checks solutions against it), max_outer and max_inner (AL rounds, ascent
-    steps per round; set by perfbench/warmup.py).  The penalty schedule is
-    phases.optimizer's, the stationarity tolerance _PermutonGeometry.gtol."""
+    steps per round; set by perfbench/warmup.py).  The penalty schedule and
+    the stationarity tolerance are phases.optimizer's (`_ascend`), floored at
+    _PermutonGeometry.gtol."""
 
     n_starts: int = 16
     seed: int = 0
@@ -497,12 +498,13 @@ class _PermutonGeometry:
     def project(self, theta):
         return np.maximum(theta, DENSITY_FLOOR)
 
-    def stationary(self, theta, grad):
-        """Rows whose AL gradient's tangent part (double-centred) is below gtol."""
+    def stationarity(self, theta, grad):
+        """Each row's largest entry of its AL gradient's tangent part
+        (double-centred)."""
         grad = grad.reshape(-1, self.res, self.res)
         centred = (grad - grad.mean(axis=1, keepdims=True) - grad.mean(axis=2, keepdims=True)
                    + grad.mean(axis=(1, 2), keepdims=True))
-        return np.abs(centred).max(axis=(1, 2)) < self.gtol
+        return np.abs(centred).max(axis=(1, 2))
 
     def grads(self, theta, lam, rho):
         """(AL value, gaps, AL gradient in g, entropy) per row."""

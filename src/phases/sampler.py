@@ -76,6 +76,9 @@ class ChainConfig:
                 continue  # the default schedule
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if self.n < 4:
             raise ValueError("chains need n >= 4")
         if self.constraints.delta <= 0:

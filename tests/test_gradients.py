@@ -142,6 +142,28 @@ def test_plans_run_without_einsum(monkeypatch, rng):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), on_bounds=st.booleans())
+def test_signed_square_is_at_least_its_diagonal_terms(m, seed, on_bounds):
+    """t2 = sum over blocks a, b, c, d of c_a c_b c_c c_d p_ab (1 - p_bc)
+    p_cd (1 - p_da), every term nonnegative; the terms with c = a and d = b
+    give t2 >= sum_ab c_a^2 c_b^2 (p_ab (1 - p_ab))^2 >= 0, so t2 = 0 forces
+    every value into {0, 1} (see bounded_signed_max).  Checked on the
+    closed form and on subgraph_density, up to rounding."""
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.full(m, 1.5))
+    p = rng.uniform(size=(m, m))
+    if on_bounds:
+        p[rng.uniform(size=p.shape) < 0.3] = 0.0
+        p[rng.uniform(size=p.shape) < 0.3] = 1.0
+    p = np.triu(p) + np.triu(p, 1).T
+    square = SubgraphPattern.signed_square()
+    bound = float(np.sum(np.outer(c, c) ** 2 * (p * (1.0 - p)) ** 2))
+    q = StepGraphon(c, p)
+    for t2 in (DensityEvaluator(square).value(c, p), subgraph_density(q, square)):
+        assert t2 >= bound * (1.0 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(1, 12), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        on_bounds=st.booleans(), labels=st.permutations([1, 2, 3, 4]))
 def test_signed_square_kernel_matches_plan_and_einsum(m, batch, seed, on_bounds, labels):

@@ -278,16 +278,18 @@ def test_escalation_stops_without_gain_where_the_certificate_refuses(monkeypatch
 
 
 def test_no_gain_stops_where_the_certificate_refuses_a_real_gain(monkeypatch):
-    # at (0.15, 1.1 eps^3) every m = 2 start ends on the symmetric bipodal,
-    # whose insertion gain of 4.54 refuses the certificate; m = 3 and 4 find
-    # nothing better, so the two-sizes rule, not m_max, ends the escalation
-    # (nothing is patched but a recorder of the solves)
+    # at (0.15, 1.1 eps^3) m = 2 reaches the asymmetric bipodal, masses
+    # 0.99846/0.00154, S = 0.2094811 (the symmetric one reads 7.9e-3 less);
+    # its insertion gain is 4e-14 but its KKT residual refuses the
+    # certificate, and m = 3 and 4 find nothing better, so the two-sizes
+    # rule, not m_max, ends the escalation (nothing is patched but a
+    # recorder of the solves)
     calls = _solved_ms(monkeypatch)
     res = constrained_entropy(ConstraintVector.edge_triangle(0.15, 0.0037125), PANEL)
     assert [m for m, _ in calls] == [1, 2, 3, 4]
     assert [r.feasible for _, r in calls] == [False, True, True, True]
     assert res.escalation_stop == "no_gain" and res.podality == 2 and res.m == 2
-    assert res.insertion_gain > 1.0
+    assert res.entropy == pytest.approx(0.2094811, abs=1e-6)
 
 
 def test_an_infeasible_size_after_a_feasible_best_counts_toward_the_stop(monkeypatch):
@@ -737,6 +739,42 @@ def test_kkt_finish_refuses_a_saddle():
     (point, objective, gaps), = geo.finish(theta, g, obj)
     assert np.abs(gaps).max() <= optimizer._KKT_GAP
     assert objective == pytest.approx(res.entropy, abs=1e-12)
+
+
+def test_a_feasible_row_ascends_to_gtol_and_an_infeasible_one_stops_loosely():
+    # two rows near the KKT point at (0.4, 0.05), at rho = 10, where the loose
+    # tolerance is _INEXACT_GTOL / 10 = 1e-4: one moved 1e-5 along the
+    # constraints' tangent (gaps 7e-12, stationarity 1e-5), one moved across
+    # them (gap 2.7e-7, stationarity 1.7e-6)
+    cons = ConstraintVector.edge_triangle(0.4, 0.05)
+    evals = [DensityEvaluator(pat) for pat in cons.patterns]
+    geo = _GraphonGeometry(EntropyObjective, evals, cons.targets, 2, PANEL)
+    q = reference_construction(0.4, 0.05)
+    lam, kkt = _multipliers(q, evals)
+    assert kkt <= _KKT_TOL
+    theta = geo.start(q.masses[None], q.values[None])[0]
+    # the constraints' gradients in theta, and the masses' sum
+    jac = np.array([*(optimizer._theta_grad(ev, q.masses, q.values) for ev in evals),
+                    [1.0, 1.0, 0.0, 0.0, 0.0]])
+    tangent = np.linalg.svd(jac)[2][-1]
+    across = np.linalg.pinv(jac) @ np.array([1.0, 0.0, 0.0])
+    rows = np.array([theta + 1e-5 * tangent, theta + 1e-6 * across / np.abs(across).max()])
+    lam, rho, tol = np.repeat(lam[None], 2, axis=0), np.full(2, 10.0), PANEL.feasibility_tol
+    _, g, grad, _ = geo.grads(rows, lam, rho)
+    gaps = np.abs(g).max(axis=1)
+    assert gaps[0] < tol <= gaps[1]
+    start = geo.stationarity(rows, grad)
+    assert (geo.gtol < start).all() and (start < optimizer._INEXACT_GTOL / rho).all()
+    np.testing.assert_array_equal(optimizer._gtol(geo, g, rho, tol),
+                                  [geo.gtol, optimizer._INEXACT_GTOL / 10.0])
+    out, g_out, _ = optimizer._ascend(geo, rows, lam, rho, 300, tol)
+    _, g_end, grad_end, _ = geo.grads(out, lam, rho)
+    assert np.array_equal(g_end, g_out)
+    # the feasible row stayed feasible and went on to gtol; the infeasible
+    # one was already stationary to its loose tolerance and did not move
+    assert np.abs(g_out[0]).max() < tol
+    assert geo.stationarity(out[:1], grad_end[:1])[0] < geo.gtol
+    assert np.array_equal(out[1], rows[1])
 
 
 # above the ER curve: the finished m = 2 optima there are KKT points to the

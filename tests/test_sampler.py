@@ -237,6 +237,12 @@ class TestChainConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             ChainConfig(**fields)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # NumPy refused both inside the chain, naming no field
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            ChainConfig(n=10, constraints=edge_only(0.5, 0.1), seed=seed)
+
     def test_accepts_numpy_integers_and_the_default_schedule(self):
         cfg = ChainConfig(n=np.int64(10), constraints=edge_only(0.5, 0.1),
                           n_samples=np.int32(2))
