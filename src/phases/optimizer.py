@@ -115,17 +115,23 @@ class OptimizerOptions:
 
     def __post_init__(self):
         _check_options(self)
-        if not (isinstance(self.m_max, (int, np.integer)) and 1 <= self.m_max <= M_CAP):
+        if not (_is_integer(self.m_max) and 1 <= self.m_max <= M_CAP):
             raise ValueError(f"m_max must lie in 1..{M_CAP}, got {self.m_max}")
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer and not a bool (True would run as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_options(opts) -> None:
     """ValueError for a field of OptimizerOptions or PermutonOptimizerOptions
-    outside its range."""
+    outside its range or of the wrong type, a bool included."""
     for name, low in (("n_starts", 1), ("seed", 0), ("max_outer", 1), ("max_inner", 1)):
-        if not isinstance(value := getattr(opts, name), (int, np.integer)) or value < low:
+        if not _is_integer(value := getattr(opts, name)) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not (isinstance(tol := opts.feasibility_tol, numbers.Real) and 0.0 < tol < math.inf):
+    tol = opts.feasibility_tol
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
         raise ValueError(f"feasibility_tol must be positive and finite, got {tol!r}")
 
 
@@ -851,17 +857,33 @@ def _theta_grad(ev, c, p) -> np.ndarray:
     return _theta_grads(c, *ev.value_and_grads(c, p)[1:])
 
 
+def _on_bounds(q: StepGraphon) -> tuple[np.ndarray, np.ndarray]:
+    """Which coordinates theta of _GraphonGeometry (masses, then the values
+    of the upper triangle) q holds on their floor, and which on their
+    ceiling (masses have none)."""
+    (iu0, iu1), _ = _triu(q.m)
+    c, u = q.masses, q.values[iu0, iu1]
+    low = np.concatenate([c <= 2.0 * _MASS_FLOOR, u <= 2.0 * _VALUE_FLOOR])
+    high = np.concatenate([np.zeros(q.m, dtype=bool), u >= 1.0 - 2.0 * _VALUE_FLOOR])
+    return low, high
+
+
 def _multipliers(q: StepGraphon, evals) -> tuple[np.ndarray, float]:
     """(lam, KKT residual) at q: lam solves grad S = J^T lam in the
-    least-squares sense, in the coordinates theta of _GraphonGeometry, from
-    the normal equations with a 1e-14 ridge, as in _GraphonGeometry._kkt
-    (np.linalg.lstsq pages in another 1 MB of LAPACK); the residual is
-    |grad S - J^T lam|_inf."""
+    least-squares sense over every coordinate theta of _GraphonGeometry,
+    from the normal equations with a 1e-14 ridge, as in
+    _GraphonGeometry._kkt (np.linalg.lstsq pages in another 1 MB of
+    LAPACK).  The residual is |r|_inf, r = grad S - J^T lam, without the
+    components that point out of the box from a coordinate on its floor
+    (r < 0) or ceiling (r > 0): there r is the bound's own multiplier."""
     c, p = q.masses, q.values
     grad = _theta_grad(EntropyObjective, c, p)
     jac = np.array([_theta_grad(ev, c, p) for ev in evals])
     lam = np.linalg.solve(jac @ jac.T + 1e-14 * np.eye(len(evals)), jac @ grad)
-    return lam, float(np.abs(grad - jac.T @ lam).max())
+    r = grad - jac.T @ lam
+    low, high = _on_bounds(q)
+    r[(low & (r < 0.0)) | (high & (r > 0.0))] = 0.0
+    return lam, float(np.abs(r).max())
 
 
 def _residual_stationary(q: StepGraphon, evals, gaps, tol: float) -> bool:
@@ -874,14 +896,11 @@ def _residual_stationary(q: StepGraphon, evals, gaps, tol: float) -> bool:
     density by x^3 c^3 with either sign.  Below the ER curve the constant
     graphon is such a point at every target, feasible ones included."""
     c, p, m = q.masses, q.values, q.m
-    (iu0, iu1), _ = _triu(m)
-    u = p[iu0, iu1]
     step = -sum(g * _theta_grad(ev, c, p) for g, ev in zip(gaps, evals))
-    low = np.concatenate([c <= 2.0 * _MASS_FLOOR, u <= 2.0 * _VALUE_FLOOR])
-    high = np.concatenate([np.zeros(m, dtype=bool), u >= 1.0 - 2.0 * _VALUE_FLOOR])
+    low, high = _on_bounds(q)
     step[(low & (step < 0.0)) | (high & (step > 0.0))] = 0.0
-    diag = np.diag(p)
-    split = (diag > 2.0 * _VALUE_FLOOR) & (diag < 1.0 - 2.0 * _VALUE_FLOOR)
+    (iu0, iu1), _ = _triu(m)
+    split = ~(low | high)[m:][iu0 == iu1]  # diagonal values inside their box
     return bool(np.abs(step).max() <= tol and not split.any())
 
 

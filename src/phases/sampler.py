@@ -39,7 +39,7 @@ from .graphon import (
     _pattern_kind,
     finite_density,
 )
-from .optimizer import reference_construction
+from .optimizer import _is_integer, reference_construction
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +74,10 @@ class ChainConfig:
             value = getattr(self, name)
             if value is None and name in ("burn_in", "sample_interval"):
                 continue  # the default schedule
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if self.n < 4:
             raise ValueError("chains need n >= 4")
@@ -131,58 +131,57 @@ class SampleRun:
         return self.graphs[i]
 
 
-def _count_denominator(pattern: SubgraphPattern, n: int) -> int:
-    """D such that the injective density of the pattern is count / D, with the
-    count a graph's edges, triangles, sum of falling factorials of degrees
-    (k-stars), or injective maps of the pattern (anything else)."""
-    if pattern == SubgraphPattern.edge():
-        return math.comb(n, 2)
-    if pattern == SubgraphPattern.triangle():
-        return math.comb(n, 3)
-    return _falling(n, pattern.k)
-
-
-def _check_all_present(pattern: SubgraphPattern) -> None:
-    # finite-graph densities are defined for all-present patterns only (graphon.finite_density)
-    if not pattern.is_all_present:
-        raise ValueError("sampling and enumeration constraints must be all-present patterns")
+def _classify(
+    constraints: ConstraintVector, n: int
+) -> tuple[list[tuple[str, int]], list[int], list[tuple[int, int]]]:
+    """(kinds, denominators, count windows) of the constraints on graphs
+    with n nodes.  A kind is ("edge", 0), ("triangle", 0), ("star", r) for
+    the r-star, or ("generic", 0) for any other pattern, which is recounted
+    and so needs n <= GENERIC_N_CAP, and must be all-present: finite-graph
+    densities are defined for those only (graphon.finite_density).  The
+    injective density is count / D, with the count a graph's edges,
+    triangles, sum of falling factorials of degrees (k-stars), or injective
+    maps of the pattern; the count is inside the open density window when
+    lo <= count <= hi."""
+    kinds, denoms = [], []
+    for pat in constraints.patterns:
+        kind, r = _pattern_kind(pat)
+        if kind not in _COUNTED:
+            if n > GENERIC_N_CAP:
+                raise ValueError(
+                    "incremental updates support edge/triangle/k-star "
+                    f"patterns; generic patterns need n <= {GENERIC_N_CAP}"
+                )
+            if not pat.is_all_present:
+                raise ValueError("sampling and enumeration constraints must be all-present patterns")
+            kind = "generic"
+        kinds.append((kind, r))
+        denoms.append(math.comb(n, 2) if kind == "edge" else
+                      math.comb(n, 3) if kind == "triangle" else _falling(n, pat.k))
+    windows = [_count_window(t, constraints.delta, d) for (_, t), d in zip(constraints.terms, denoms)]
+    return kinds, denoms, windows
 
 
 class _DensityTracker:
     """Counts of the constraint patterns, updated per edge toggle; a pattern's
     density is its count over `denoms`, and window membership is decided on
-    the counts against the exact integer `windows`.
+    the counts against the exact integer `windows` (see _classify).
 
     The graph is held as neighbourhood bitsets `rows`: bit v of the Python
     int rows[u] is set when u and v are adjacent, so u has
     rows[u].bit_count() neighbours and u and v have
     (rows[u] & rows[v]).bit_count() common neighbours.  Edge, triangle, and
-    k-star counts are updated from them per toggle.  The 0/1 matrix is
-    unpacked from the bitsets for a sample and for any other pattern, which
-    forces a full recount per proposal and is only allowed at small n.
+    k-star counts are updated from them per toggle (`_moved`).  The 0/1
+    matrix is unpacked from the bitsets for a sample and for any other
+    pattern, which forces a full recount per proposal and is only allowed at
+    small n.
     """
 
     def __init__(self, adj: np.ndarray, constraints: ConstraintVector):
         adj = adj.astype(np.int32)
         self.n = n = adj.shape[0]
-        self.kinds: list[tuple[str, int]] = []
-        for pat in constraints.patterns:
-            kind, r = _pattern_kind(pat)
-            if kind not in _COUNTED:
-                if n > GENERIC_N_CAP:
-                    raise ValueError(
-                        "incremental updates support edge/triangle/k-star "
-                        f"patterns; generic patterns need n <= {GENERIC_N_CAP}"
-                    )
-                _check_all_present(pat)
-                kind = "generic"
-            self.kinds.append((kind, r))
+        self.kinds, self.denoms, self.windows = _classify(constraints, n)
         self.patterns = constraints.patterns
-        self.denoms = [_count_denominator(p, n) for p in self.patterns]
-        self.windows = [
-            _count_window(t, constraints.delta, d)
-            for (_, t), d in zip(constraints.terms, self.denoms)
-        ]
         self.rows = [
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in adj.astype(bool)
@@ -192,9 +191,10 @@ class _DensityTracker:
         self.triangle_count = sum(
             (self.rows[u] & self.rows[v]).bit_count() for u, v in zip(*np.triu(adj).nonzero())
         ) // 3
-        self.star_arities = sorted({k for kind, k in self.kinds if kind == "star"})
+        degrees = adj.sum(axis=1).tolist()
         self.star_sums = {
-            r: sum(_falling(d, r) for d in adj.sum(axis=1).tolist()) for r in self.star_arities
+            r: sum(_falling(d, r) for d in degrees)
+            for r in sorted({r for kind, r in self.kinds if kind == "star"})
         }
         # each kind's window, intersected over repeats of a pattern; `inside`
         # reads `windows` in constraint order.  An absent edge or triangle
@@ -205,22 +205,28 @@ class _DensityTracker:
             merged[key] = (max(lo, lo0), min(hi, hi0))
         self.edge_window = merged["edge", 0]
         self.triangle_window = merged["triangle", 0]
-        self._star_windows = [(r, *merged["star", r]) for r in self.star_arities]
+        self._star_windows = [(r, *merged["star", r]) for r in self.star_sums]
         self.generic_windows = [
-            (p, *w) for p, (kind, _), w in zip(self.patterns, self.kinds, self.windows)
+            (j, *w) for j, ((kind, _), w) in enumerate(zip(self.kinds, self.windows))
             if kind == "generic"
         ]
 
-    def _generic_count(self, adj: np.ndarray, pattern: SubgraphPattern) -> int:
-        return int(finite_density(FiniteGraph(adj), pattern) * _falling(self.n, pattern.k))
-
-    def _star_sum_after(self, r: int, du: int, dv: int, sign: int) -> int:
-        """The r-star count once the endpoint degrees du, dv move by sign."""
-        return (
-            self.star_sums[r]
-            + _falling(du + sign, r) - _falling(du, r)
-            + _falling(dv + sign, r) - _falling(dv, r)
-        )
+    def _moved(self, u: int, v: int) -> tuple[int, int, dict[int, int]]:
+        """(edge count, triangle count, k-star sums) once edge (u, v)
+        toggles: with s = +1 for an added edge and -1 for a removed one, the
+        edge count moves by s, the triangle count by s times the common
+        neighbours of u and v, and each r-star sum by s r ((du)_(r-1) +
+        (dv)_(r-1)), du and dv the endpoints' degrees without the edge, as
+        (d + 1)_r - (d)_r = r (d)_(r-1)."""
+        ru, rv = self.rows[u], self.rows[v]
+        present = ru >> v & 1
+        sign = 1 - 2 * present
+        du, dv = ru.bit_count() - present, rv.bit_count() - present
+        stars = {
+            r: s + sign * r * (_falling(du, r - 1) + _falling(dv, r - 1))
+            for r, s in self.star_sums.items()
+        }
+        return self.edge_count + sign, self.triangle_count + sign * (ru & rv).bit_count(), stars
 
     def adjacency(self) -> np.ndarray:
         """The 0/1 adjacency matrix, unpacked from the bitsets."""
@@ -228,92 +234,57 @@ class _DensityTracker:
         packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), np.uint8)
         return np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
 
-    def _toggled_adj(self, u: int, v: int) -> np.ndarray:
-        adj = self.adjacency()
-        adj[u, v] = adj[v, u] = 1 - adj[u, v]
-        return adj
-
-    def counts(self) -> list[int]:
-        out = []
-        for j, (kind, r) in enumerate(self.kinds):
-            if kind == "edge":
-                out.append(self.edge_count)
-            elif kind == "triangle":
-                out.append(self.triangle_count)
-            elif kind == "star":
-                out.append(self.star_sums[r])
+    def counts(self, toggle: tuple[int, int] | None = None) -> list[int]:
+        """The constraint counts, or those once edge toggle = (u, v)
+        toggles, without mutating state."""
+        if toggle is None:
+            edges, triangles, stars = self.edge_count, self.triangle_count, self.star_sums
+        else:
+            edges, triangles, stars = self._moved(*toggle)
+        out, adj = [], None
+        for pattern, (kind, r), d in zip(self.patterns, self.kinds, self.denoms):
+            if kind == "generic":
+                if adj is None:
+                    adj = self.adjacency()
+                    if toggle is not None:
+                        u, v = toggle
+                        adj[u, v] = adj[v, u] = 1 - adj[u, v]
+                out.append(int(finite_density(FiniteGraph(adj), pattern) * d))
             else:
-                out.append(self._generic_count(self.adjacency(), self.patterns[j]))
-        return out
-
-    def toggled_counts(self, u: int, v: int) -> list[int]:
-        """Counts after toggling edge (u, v), without mutating state."""
-        ru, rv = self.rows[u], self.rows[v]
-        sign = 1 - 2 * (ru >> v & 1)
-        du, dv = ru.bit_count(), rv.bit_count()
-        out = []
-        generic_adj = None
-        for j, (kind, r) in enumerate(self.kinds):
-            if kind == "edge":
-                out.append(self.edge_count + sign)
-            elif kind == "triangle":
-                out.append(self.triangle_count + sign * (ru & rv).bit_count())
-            elif kind == "star":
-                out.append(self._star_sum_after(r, du, dv, sign))
-            else:
-                if generic_adj is None:
-                    generic_adj = self._toggled_adj(u, v)
-                out.append(self._generic_count(generic_adj, self.patterns[j]))
+                out.append(edges if kind == "edge" else triangles if kind == "triangle" else stars[r])
         return out
 
     def admit(self, u: int, v: int) -> bool:
         """Whether the star and generic windows hold once edge (u, v) toggles;
         if they do, the star sums move with the toggle.  The chain calls this
         once the edge and triangle windows hold, and then flips the two bits
-        and moves those two counts itself."""
-        ru, rv = self.rows[u], self.rows[v]
-        sign = 1 - 2 * (ru >> v & 1)
-        du, dv = ru.bit_count(), rv.bit_count()
-        sums = {r: self._star_sum_after(r, du, dv, sign) for r in self.star_arities}
-        if not all(lo <= sums[r] <= hi for r, lo, hi in self._star_windows):
+        and moves those two counts itself: until then the tracker's edge and
+        triangle counts are stale, so only the generic counts are read."""
+        stars = self._moved(u, v)[2]
+        if not all(lo <= stars[r] <= hi for r, lo, hi in self._star_windows):
             return False
         if self.generic_windows:
-            adj = self._toggled_adj(u, v)
-            for pattern, lo, hi in self.generic_windows:
-                if not lo <= self._generic_count(adj, pattern) <= hi:
-                    return False
-        self.star_sums = sums
+            counts = self.counts((u, v))
+            if not all(lo <= counts[j] <= hi for j, lo, hi in self.generic_windows):
+                return False
+        self.star_sums = stars
         return True
 
     def inside(self, counts: list[int]) -> bool:
         """Whether counts lie strictly inside every open density window."""
         return all(lo <= c <= hi for c, (lo, hi) in zip(counts, self.windows))
 
-    def _as_densities(self, counts: list[int]) -> np.ndarray:
+    def densities(self, counts: list[int] | None = None) -> np.ndarray:
+        """The densities of counts, by default of the current counts."""
+        counts = self.counts() if counts is None else counts
         return np.array([c / d for c, d in zip(counts, self.denoms)])
 
-    def densities(self) -> np.ndarray:
-        return self._as_densities(self.counts())
-
-    def toggled_densities(self, u: int, v: int) -> np.ndarray:
-        """Densities after toggling edge (u, v), without mutating state."""
-        return self._as_densities(self.toggled_counts(u, v))
-
     def apply_toggle(self, u: int, v: int) -> None:
-        """Toggle edge (u, v) and update the counts: with s = +1 for an added
-        edge and -1 for a removed one, the triangle count moves by s times the
-        common neighbours of u and v, the k-star sums by the change in the
-        endpoints' falling factorials, and bit v of rows[u] and bit u of
-        rows[v] flip."""
-        rows = self.rows
-        ru, rv = rows[u], rows[v]
-        sign = 1 - 2 * (ru >> v & 1)
-        du, dv = ru.bit_count(), rv.bit_count()
-        self.star_sums = {r: self._star_sum_after(r, du, dv, sign) for r in self.star_arities}
-        self.edge_count += sign
-        self.triangle_count += sign * (ru & rv).bit_count()
-        rows[u] = ru ^ 1 << v
-        rows[v] = rv ^ 1 << u
+        """Toggle edge (u, v): the counts move as `_moved` says, and bit v
+        of rows[u] and bit u of rows[v] flip."""
+        self.edge_count, self.triangle_count, self.star_sums = self._moved(u, v)
+        self.rows[u] ^= 1 << v
+        self.rows[v] ^= 1 << u
 
 
 def _initial_graphon(constraints: ConstraintVector) -> StepGraphon:
@@ -374,7 +345,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
         v = int(rng.integers(n - 1))
         if v >= u:
             v += 1
-        cand = _violation(tracker.toggled_densities(u, v), targets, delta)
+        cand = _violation(tracker.densities(tracker.counts((u, v))), targets, delta)
         if cand < score - 1e-15:
             tracker.apply_toggle(u, v)
             score = cand
@@ -398,7 +369,7 @@ def sample_constrained(cfg: ChainConfig) -> SampleRun:
     bitsets = tracker.rows
     edges, triangles = tracker.edge_count, tracker.triangle_count
     (edge_lo, edge_hi), (tri_lo, tri_hi) = tracker.edge_window, tracker.triangle_window
-    admit = tracker.admit if tracker.star_arities or tracker.generic_windows else None
+    admit = tracker.admit if tracker.star_sums or tracker.generic_windows else None
     accepted = 0
     last_accept = 0  # step of the last accepted toggle; rejections since set stalled
     stalled = False
@@ -593,26 +564,23 @@ def enumerate_Z(n: int, constraints: ConstraintVector) -> EnumerationReport:
     ]
 
     delta = constraints.delta
+    classes, _, windows = _classify(constraints, n)
     kinds = []
-    for pat, target in constraints.terms:
-        kind, r = _pattern_kind(pat)
+    for pat, (kind, r), window in zip(constraints.patterns, classes, windows):
+        aux = None
         if kind == "star":
             # the low graph's r-star count, and what u joining S adds to it:
             # (d + 1)_r - (d)_r = r (d)_(r-1)
             aux = (sum(_falling(d, r) for d in low_degrees),
                    [r * _falling(d, r - 1) for d in low_degrees])
-        elif kind not in _COUNTED:
-            _check_all_present(pat)
+        elif kind == "generic":
             # placement counts of every low graph, keyed by the pairs at the
             # last vertex that the placements need
-            kind, aux = "generic", {}
+            aux = {}
             for mask, mult in _pattern_mask_classes(pat, n, bit).items():
                 high, part = mask >> n_low, mask & ((1 << n_low) - 1)
                 aux[high] = aux.get(high, 0) + mult * ((low & part) == part)
-        else:
-            aux = None
-        cmin, cmax = _count_window(target, delta, _count_denominator(pat, n))
-        kinds.append((kind, r, aux, cmin, cmax))
+        kinds.append((kind, r, aux, *window))
 
     n_triangle_bins = math.comb(n, 3) + 1
     hist = np.zeros((math.comb(n, 2) + 1) * n_triangle_bins, dtype=np.int64)

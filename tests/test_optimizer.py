@@ -277,19 +277,69 @@ def test_escalation_stops_without_gain_where_the_certificate_refuses(monkeypatch
     assert res.m == 2 and res.escalation_stop == "no_gain"
 
 
-def test_no_gain_stops_where_the_certificate_refuses_a_real_gain(monkeypatch):
+def test_a_kkt_point_on_a_ceiling_is_certified(monkeypatch):
     # at (0.15, 1.1 eps^3) m = 2 reaches the asymmetric bipodal, masses
-    # 0.99846/0.00154, S = 0.2094811 (the symmetric one reads 7.9e-3 less);
-    # its insertion gain is 4e-14 but its KKT residual refuses the
-    # certificate, and m = 3 and 4 find nothing better, so the two-sizes
-    # rule, not m_max, ends the escalation (nothing is patched but a
-    # recorder of the solves)
+    # 0.99846/0.00154, S = 0.2094811 (the symmetric one reads 7.9e-3 less),
+    # with the small block's diagonal on its ceiling.  grad S - J^T lam
+    # reads 1.2e-6 there, pointing out of the box: the bound's multiplier,
+    # not KKT residual, so the certificate stops the escalation at m = 2
+    # (nothing is patched but a recorder of the solves)
     calls = _solved_ms(monkeypatch)
     res = constrained_entropy(ConstraintVector.edge_triangle(0.15, 0.0037125), PANEL)
-    assert [m for m, _ in calls] == [1, 2, 3, 4]
-    assert [r.feasible for _, r in calls] == [False, True, True, True]
-    assert res.escalation_stop == "no_gain" and res.podality == 2 and res.m == 2
+    assert [m for m, _ in calls] == [1, 2]
+    assert res.escalation_stop == "certified" and res.podality == 2 and res.m == 2
     assert res.entropy == pytest.approx(0.2094811, abs=1e-6)
+
+
+# the m = 2 answer at (0.15, 1.1 eps^3): its last coordinate theta, the
+# small block's diagonal, is on its ceiling
+BOUND_MASSES = (0.9984647435520814, 0.0015352564479185877)
+BOUND_VALUES = ((0.14784485226650326, 0.8501541960295327), (0.8501541960295327, 0.999999999))
+EMPTY_TRIANGLE = SubgraphPattern(3, (), ((1, 2), (1, 3), (2, 3)))
+STAR2 = SubgraphPattern.star(2)
+
+
+def _with_small_block(q, row, mass=1e-6):
+    """q with a block of the given mass (the others shrunk) and row, diagonal 0.5."""
+    m = q.m
+    values = np.full((m + 1, m + 1), 0.5)
+    values[:m, :m] = q.values
+    values[m, :m] = values[:m, m] = row
+    return StepGraphon(np.append(q.masses * (1.0 - mass), mass), values)
+
+
+@pytest.mark.parametrize("masses, values, patterns, coord, bound, counted", [
+    # a bound whose r = grad S - J^T lam points out of the box is dropped
+    (BOUND_MASSES, BOUND_VALUES, (EDGE, TRI), 4, "ceiling", False),
+    # its complement, with the empty triangle for the triangle: a floor
+    (BOUND_MASSES, 1.0 - np.array(BOUND_VALUES), (EDGE, EMPTY_TRIANGLE), 4, "floor", False),
+    ((1e-6, 1.0 - 1e-6), ((0.4, 0.6), (0.6, 0.5)), (STAR2,), 0, "floor", False),
+    # one that points into the box is residual
+    ((0.4, 0.6), ((1.0 - 1e-9, 0.3), (0.3, 0.2)), (STAR2,), 2, "ceiling", True),
+    ((0.8, 0.2), ((1e-9, 0.3), (0.3, 0.8)), (STAR2,), 2, "floor", True),
+    # a new block of mass 1e-6 whose row gains on the symmetric bipodal
+    (None, None, (EDGE, TRI), 2, "floor", True),
+], ids=["ceiling-out", "floor-out", "mass-floor-out", "ceiling-in", "floor-in", "mass-floor-in"])
+def test_kkt_residual_leaves_out_only_a_bound_multiplier(masses, values, patterns, coord,
+                                                          bound, counted):
+    if masses is None:
+        q = _with_small_block(reference_construction(0.15, 0.0037125), (0.1, 0.1))
+    else:
+        q = StepGraphon(np.array(masses), np.array(values))
+    evals = [DensityEvaluator(pat) for pat in patterns]
+    low, high = optimizer._on_bounds(q)
+    assert np.flatnonzero(low | high).tolist() == [coord]
+    assert (low if bound == "floor" else high)[coord]
+    # r from an independent least-squares solve
+    grad = optimizer._theta_grad(EntropyObjective, q.masses, q.values)
+    jac = np.array([optimizer._theta_grad(ev, q.masses, q.values) for ev in evals])
+    r = grad - jac.T @ np.linalg.lstsq(jac.T, grad, rcond=None)[0]
+    outward = r[coord] < 0.0 if bound == "floor" else r[coord] > 0.0
+    assert outward != counted
+    rest = np.abs(np.delete(r, coord)).max()
+    assert abs(r[coord]) > 3.0 * rest  # the rule decides the residual
+    kkt = _multipliers(q, evals)[1]
+    assert kkt == pytest.approx(abs(r[coord]) if counted else rest, rel=1e-3)
 
 
 def test_an_infeasible_size_after_a_feasible_best_counts_toward_the_stop(monkeypatch):
@@ -571,7 +621,7 @@ def test_pattern_above_vertex_cap_is_rejected():
         bounded_signed_max(big, SubgraphPattern.signed_square(), 2, FAST)
 
 
-@pytest.mark.parametrize("m_max", [0, -1, optimizer.M_CAP + 1])
+@pytest.mark.parametrize("m_max", [0, -1, optimizer.M_CAP + 1, True])
 def test_m_max_outside_the_podality_range_is_rejected(m_max):
     # checked when the options are made, not when the escalation reaches it
     with pytest.raises(ValueError, match=f"m_max must lie in 1..{optimizer.M_CAP}"):
@@ -610,7 +660,10 @@ def test_every_option_value_is_refused_with_its_name_or_solved(kind, name, value
 @pytest.mark.parametrize("name, value", [("n_starts", 0), ("n_starts", -3), ("seed", -1),
                                          ("max_outer", 0), ("max_inner", 0),
                                          ("feasibility_tol", -1.0), ("feasibility_tol", 0.0),
-                                         ("feasibility_tol", math.nan)])
+                                         ("feasibility_tol", math.nan),
+                                         # a bool is an int to Python; True ran as 1 and 1.0
+                                         ("n_starts", True), ("seed", False), ("max_outer", True),
+                                         ("max_inner", True), ("feasibility_tol", True)])
 def test_options_outside_their_range_are_rejected(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})

@@ -18,8 +18,7 @@ from phases.optimizer import reference_construction
 from phases.sampler import (
     ChainConfig,
     SamplerInitError,
-    _count_denominator,
-    _count_window,
+    _classify,
     _DensityTracker,
     _initial_graphon,
     _sample_from_graphon,
@@ -48,6 +47,7 @@ CHAIN_PATTERNS = {
     "edge-2star": (EDGE, SubgraphPattern.star(2)),
     "3star": (SubgraphPattern.star(3),),
     "edge-4cycle": (EDGE, SubgraphPattern.cycle(4)),  # generic: recounted
+    "edge-2star-4cycle": (EDGE, SubgraphPattern.star(2), SubgraphPattern.cycle(4)),
     "edge-edge-triangle": (EDGE, EDGE, TRI),  # a repeat: both windows hold
     "edge": (EDGE,),  # no triangle window
     "triangle": (TRI,),  # no edge window
@@ -144,8 +144,7 @@ def single_proposal_chain(cfg):
     """The reference chain: two scalar draws per proposal, and each proposal
     decided on an exact recount of the toggled graph."""
     n, cons = cfg.n, cfg.constraints
-    denoms = [_count_denominator(p, n) for p in cons.patterns]
-    windows = [_count_window(t, cons.delta, d) for (_, t), d in zip(cons.terms, denoms)]
+    _, denoms, windows = _classify(cons, n)
 
     def counts(adj):
         g = FiniteGraph(adj)
@@ -434,7 +433,7 @@ class TestSampleConstrained:
             (200, TRI, 0.1, 144474, 144473),  # 0.11 C(200,3)
             (200, EDGE, 0.5, 9751, 9752),  # 0.49 C(200,2)
         ):
-            lo, hi = _count_window(target, 0.01, _count_denominator(pat, n))
+            (lo, hi), = _classify(ConstraintVector(((pat, target),), 0.01), n)[2]
             assert not lo <= on_edge <= hi
             assert lo <= inside <= hi
 
@@ -495,22 +494,26 @@ class TestBlockChain:
         p=st.floats(0.0, 1.0),
         toggles=st.integers(0, 80),
         seed=st.integers(0, 2**32 - 1),
+        cycle=st.booleans(),
     )
-    # past one and three 64-bit words, and the bench's chain sizes
-    @example(n=65, p=0.5, toggles=80, seed=1)
-    @example(n=150, p=0.5, toggles=80, seed=2)
-    @example(n=200, p=0.3, toggles=80, seed=3)
-    def test_bitsets_track_toggles(self, n, p, toggles, seed):
+    # past one and three 64-bit words, and the bench's chain sizes; a
+    # generic pattern, recounted on the toggled matrix
+    @example(n=65, p=0.5, toggles=80, seed=1, cycle=False)
+    @example(n=150, p=0.5, toggles=80, seed=2, cycle=False)
+    @example(n=200, p=0.3, toggles=80, seed=3, cycle=False)
+    @example(n=12, p=0.5, toggles=80, seed=4, cycle=True)
+    def test_bitsets_track_toggles(self, n, p, toggles, seed, cycle):
         rng = np.random.default_rng(seed)
-        cons = ConstraintVector(
-            ((EDGE, 0.5), (TRI, 0.1), (SubgraphPattern.star(2), 0.2),
-             (SubgraphPattern.star(3), 0.1)), 0.05,
-        )
+        terms = ((EDGE, 0.5), (TRI, 0.1), (SubgraphPattern.star(2), 0.2),
+                 (SubgraphPattern.star(3), 0.1))
+        if cycle:  # its recount is slow; keep the graph small
+            n, terms = min(n, 12), terms + ((SubgraphPattern.cycle(4), 0.1),)
+        cons = ConstraintVector(terms, 0.05)
         adj = random_graph(n, p, rng)
         tracker = _DensityTracker(adj, cons)
         for _ in range(toggles):
             u, v = rng.choice(n, 2, replace=False).tolist()
-            toggled = tracker.toggled_counts(u, v)
+            toggled = tracker.counts((u, v))
             tracker.apply_toggle(u, v)
             adj[u, v] = adj[v, u] = 1 - adj[u, v]
             assert tracker.counts() == toggled
@@ -537,8 +540,9 @@ class TestBlockChain:
     # runs of exactly n (n - 1) / 2 rejections, the shortest that set
     # stalled, between two accepted toggles and at the end of the chain;
     # then longest runs one shorter, between accepts and at the end, which
-    # must not; a 4-cycle window that rejects some toggles; an edge window
-    # alone and a triangle window alone; last, bitsets of two 64-bit words
+    # must not; a 4-cycle window that rejects some toggles, and one next to
+    # a 2-star window; an edge window alone and a triangle window alone;
+    # last, bitsets of two 64-bit words
     @example(name="3star", n=5, p=0.3688549474916448, delta=0.05, burn_in=26,
              interval=46, n_samples=2, block=3, seed=2988995438)
     @example(name="edge-triangle", n=6, p=0.6765504518087084, delta=0.1, burn_in=186,
@@ -551,6 +555,8 @@ class TestBlockChain:
              interval=90, n_samples=2, block=3, seed=137923500)
     @example(name="edge-4cycle", n=7, p=0.7614874117773833, delta=0.2, burn_in=8,
              interval=100, n_samples=4, block=1024, seed=564533598)
+    @example(name="edge-2star-4cycle", n=8, p=0.7, delta=0.05, burn_in=150, interval=60,
+             n_samples=3, block=3, seed=2)
     @example(name="edge", n=9, p=0.5, delta=0.05, burn_in=300, interval=40, n_samples=3,
              block=3, seed=11)
     @example(name="triangle", n=9, p=0.5, delta=0.05, burn_in=300, interval=40, n_samples=3,
@@ -561,7 +567,7 @@ class TestBlockChain:
         self, name, n, p, delta, burn_in, interval, n_samples, block, seed
     ):
         patterns = CHAIN_PATTERNS[name]
-        if name == "edge-4cycle":  # its recount is slow; keep the chain short
+        if SubgraphPattern.cycle(4) in patterns:  # its recount is slow; keep the chain short
             n, burn_in = min(n, 8), burn_in // 10 + 1
         # targets at the densities of a random graph, so the windows hold
         # one; a repeated pattern's window is shifted by half its width

@@ -57,18 +57,26 @@ def attributes_read(tree: ast.Module) -> set[str]:
 def test_every_definition_is_used():
     """A module-level function or class of the package, or a method of one
     of its classes (dunders aside), that no module of the package or of the
-    tests names is dead code."""
+    tests names is dead code.  A private definition (an underscore name, or
+    any method of an underscore class) must be named by a package module: a
+    test alone does not keep it alive."""
     package = pathlib.Path(phases.__file__).parent
     trees = {p: ast.parse(p.read_text()) for p in [*package.glob("*.py"),
                                                    *pathlib.Path(__file__).parent.glob("*.py")]}
-    named = set().union(*map(names_read, trees.values()))
-    attributes = set().union(*map(attributes_read, trees.values()))
+
+    def union(read, private):
+        return set().union(*(read(tree) for p, tree in trees.items()
+                             if p.parent == package or not private))
+
+    # keyed by whether the definition is private
+    named = {private: union(names_read, private) for private in (False, True)}
+    attributes = {private: union(attributes_read, private) for private in (False, True)}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = [f"{p.name}:{n.name}" for p, tree in trees.items() if p.parent == package
-              for n in tree.body
-              if isinstance(n, (*functions, ast.ClassDef)) and n.name not in named]
+              for n in tree.body if isinstance(n, (*functions, ast.ClassDef))
+              and n.name not in named[n.name.startswith("_")]]
     unused += [f"{p.name}:{c.name}.{f.name}" for p, tree in trees.items() if p.parent == package
                for c in tree.body if isinstance(c, ast.ClassDef)
                for f in c.body if isinstance(f, functions) and not f.name.startswith("__")
-               and f.name not in attributes]
+               and f.name not in attributes[c.name.startswith("_") or f.name.startswith("_")]]
     assert unused == []
